@@ -34,9 +34,11 @@ func hangErrorf(format string, args ...any) error {
 }
 
 // Emulator executes thread blocks of a kernel launch functionally and
-// produces their dynamic traces. One Emulator serves one launch; blocks
-// may be emulated lazily in any order (the order becomes the observed
-// inter-block interleaving for atomics).
+// produces their dynamic traces. One Emulator serves one launch, and
+// the simulator emulates its blocks strictly in index order, one at a
+// time: that order is the observed inter-block interleaving for
+// atomics and device malloc, so a block's trace depends only on the
+// launch image, the flip config and the blocks before it.
 type Emulator struct {
 	launch   *kernel.Launch
 	mem      *Memory
@@ -54,15 +56,15 @@ type Emulator struct {
 
 	// Blocks are emulated one at a time, so one set of execution
 	// scratch state serves every block: warp contexts (their 64 KB
-	// register files are the dominant per-block allocation) and the
-	// shared-memory buffer are pooled, trace slices are presized to the
-	// longest warp trace seen so far, and coalesced line addresses are
-	// carved out of a chunked arena instead of one slice per
-	// instruction. Traces and arena chunks still escape into the
-	// returned BlockTrace; only state that does not escape is reused.
+	// register files are the dominant per-block allocation), their
+	// trace buffers and the shared-memory buffer are reused, and
+	// coalesced line addresses are carved out of a chunked arena
+	// instead of one slice per instruction. A finished block's warp
+	// traces are copied into one slab of exactly the block's length,
+	// so a retained trace holds no spare capacity; the slab and the
+	// arena chunks escape into the returned BlockTrace.
 	ctxs      []*warpCtx
 	sharedBuf []byte
-	traceHint int
 	arena     []uint64
 
 	// flip is the armed bit-flip injector (zero = off); flips counts
@@ -190,7 +192,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		ctx.atBarrier = false
 		ctx.done = false
 		ctx.insts = 0
-		ctx.trace = make([]TraceInst, 0, e.traceHint)
+		ctx.trace = ctx.trace[:0]
 		ctx.excep = nil
 		ctx.flipAddrMask = 0
 	}
@@ -238,13 +240,16 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		}
 	}
 
+	total := 0
+	for _, ctx := range warps {
+		total += len(ctx.trace)
+	}
+	slab := make([]TraceInst, total)
 	bt := &BlockTrace{BlockID: blockID, Warps: make([]WarpTrace, numWarps)}
 	for w, ctx := range warps {
-		if len(ctx.trace) > e.traceHint {
-			e.traceHint = len(ctx.trace)
-		}
-		tr := ctx.trace
-		ctx.trace = nil
+		tr := slab[:len(ctx.trace):len(ctx.trace)]
+		slab = slab[len(tr):]
+		copy(tr, ctx.trace)
 		bt.Warps[w] = WarpTrace{WarpID: w, Insts: tr, Excep: ctx.excep}
 		bt.DynInsts += len(tr)
 		for i := range tr {

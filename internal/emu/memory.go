@@ -28,8 +28,9 @@ type Memory struct {
 	// footprint reporting.
 	allocated int
 	// Single-entry chunk cache: warp accesses are heavily clustered, so
-	// most lookups hit the chunk of the previous one. Chunks are never
-	// removed from the map, so the cached slice cannot go stale.
+	// most lookups hit the chunk of the previous one. Only CopyFrom
+	// removes chunks from the map, and it drops the cache when it does,
+	// so the cached slice cannot go stale.
 	//simlint:ckptskip lookup cache; a cold start after restore is correct and self-repopulates
 	lastKey uint64
 	//simlint:ckptskip lookup cache; a cold start after restore is correct and self-repopulates
@@ -184,6 +185,27 @@ func (m *Memory) Clone() *Memory {
 		c.chunks[key] = dup
 	}
 	return c
+}
+
+// CopyFrom makes m an exact copy of src: the same chunk set, contents
+// and allocated count. Chunks m already holds are overwritten in place.
+func (m *Memory) CopyFrom(src *Memory) {
+	for key := range m.chunks {
+		if src.chunks[key] == nil {
+			delete(m.chunks, key)
+		}
+	}
+	for key, data := range src.chunks {
+		c := m.chunks[key]
+		if c == nil {
+			c = make([]byte, chunkSize)
+			//simlint:ignore determinism filling a map entry per source chunk is order-insensitive
+			m.chunks[key] = c
+		}
+		copy(c, data)
+	}
+	m.allocated = src.allocated
+	m.lastChunk = nil
 }
 
 // Mismatch is one byte of disagreement between two memories.

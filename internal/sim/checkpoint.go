@@ -103,17 +103,47 @@ func FingerprintConfig(cfg config.Config) uint64 {
 	return ckpt.Digest([]byte(fmt.Sprintf("%#v", cfg)))
 }
 
-// FingerprintSpec hashes a launch spec: kernel identity and shape, the
-// registered regions, and the current functional memory image. New
-// calls it before any simulation runs, so the memory digest covers the
-// initial image; callers fingerprinting for the result cache must do
-// the same (runs mutate the functional memory).
+// FingerprintSpec hashes a launch spec: the kernel (name, code,
+// register and shared-memory footprint, parameters), the grid and block
+// shapes, the device heap, the registered regions, and the current
+// functional memory image. New calls it before any simulation runs, so
+// the memory digest covers the initial image; callers fingerprinting
+// for the result cache must do the same (runs mutate the functional
+// memory). The value keys checkpoints, the simulation service's result
+// cache and trace streams, so two specs share it only when every
+// input of emulation and timing agrees.
 func FingerprintSpec(spec LaunchSpec) uint64 {
 	h := ckpt.NewHasher()
-	h.Bytes([]byte(spec.Launch.Kernel.Name))
-	h.U64(uint64(len(spec.Launch.Kernel.Code)))
-	h.U64(uint64(spec.Launch.Blocks()))
-	h.U64(uint64(spec.Launch.ThreadsPerBlock()))
+	l, k := spec.Launch, spec.Launch.Kernel
+	h.Bytes([]byte(k.Name))
+	h.U64(uint64(len(k.Code)))
+	for i := range k.Code {
+		in := &k.Code[i]
+		h.U64(uint64(in.Op))
+		h.U64(uint64(in.Dst))
+		h.U64(uint64(in.SrcA))
+		h.U64(uint64(in.SrcB))
+		h.U64(uint64(in.SrcC))
+		h.U64(uint64(in.Imm))
+		h.U64(uint64(in.Pred))
+		h.U64(boolBit(in.PredNeg))
+		h.U64(uint64(in.Cmp))
+		h.U64(uint64(in.Atom))
+		h.U64(uint64(in.Size))
+		h.U64(uint64(in.Target))
+		h.U64(uint64(in.Reconv))
+	}
+	h.U64(uint64(k.RegsPerThread))
+	h.U64(uint64(k.SharedMemBytes))
+	h.U64(uint64(len(k.Params)))
+	for _, p := range k.Params {
+		h.U64(p)
+	}
+	for _, d := range []int{l.Grid.X, l.Grid.Y, l.Block.X, l.Block.Y} {
+		h.U64(uint64(d))
+	}
+	h.U64(l.HeapBase)
+	h.U64(l.HeapBytes)
 	for _, r := range spec.Regions {
 		h.Bytes([]byte(r.Name))
 		h.U64(r.Base)
@@ -126,6 +156,13 @@ func FingerprintSpec(spec LaunchSpec) uint64 {
 	return h.Sum()
 }
 
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Fingerprints returns the simulator's config and spec fingerprints —
 // the pair a checkpoint must match to restore here, and the key the
 // simulation service's result cache is built on.
@@ -135,7 +172,16 @@ func (s *Simulator) Fingerprints() (cfgFP, specFP uint64) { return s.cfgFP, s.sp
 // Valid only at a cycle boundary (the main loop's top); callers inside
 // the loop are maybeWriteCheckpoint and stallError, callers outside
 // must go through StepTo.
+//
+// The emu.memory section is the functional memory at the dispatch
+// cursor. A run fed by a shared stream materializes it here, bringing
+// spec.Memory up to the cursor first (see syncMemory).
 func (s *Simulator) Capture() *ckpt.Checkpoint {
+	if err := s.syncMemory(); err != nil {
+		// Catch-up emulation replays blocks the stream already
+		// emulated deterministically; failing is a determinism bug.
+		panic(err)
+	}
 	ck := &ckpt.Checkpoint{
 		Version:  ckpt.Version,
 		Cycle:    s.q.Now(),

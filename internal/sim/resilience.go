@@ -71,7 +71,7 @@ func RunResilienceTrial(cfg config.Config, spec LaunchSpec, opt TrialOptions) (*
 		s.MaxCycles = opt.MaxCycles
 	}
 	if opt.MaxWarpInsts > 0 {
-		s.emul.MaxWarpInsts = opt.MaxWarpInsts
+		s.stream.emul.MaxWarpInsts = opt.MaxWarpInsts
 	}
 	r, runErr := s.Run()
 	if r == nil {

@@ -92,7 +92,6 @@ type Simulator struct {
 
 	q      *clock.Queue
 	as     *vm.AddressSpace
-	emul   *emu.Emulator
 	board  *host.ExcepBoard
 	disp   *host.Dispatcher
 	fu     *tlb.FillUnit
@@ -106,6 +105,14 @@ type Simulator struct {
 	sms    []*sm.SM
 	l1s    []*cache.Cache
 	l1tlbs []*tlb.TLB
+
+	// stream supplies the block traces (see stream.go). On a shared
+	// stream spec.Memory lags the dispatch cursor: its first caughtUp
+	// blocks have been applied, by the catchUp emulator or by copying
+	// the stream's final image, and syncMemory applies the rest.
+	stream   *Stream
+	catchUp  *emu.Emulator
+	caughtUp int
 
 	// MaxCycles aborts runaway simulations (hard bound; the progress
 	// watchdog normally fires far earlier).
@@ -189,8 +196,26 @@ type Simulator struct {
 // DefaultMaxCycles bounds a single kernel simulation.
 const DefaultMaxCycles = 2_000_000_000
 
-// New wires up a simulator for the spec under the configuration.
+// New wires up a simulator for the spec under the configuration. It
+// emulates the launch's blocks itself, against spec.Memory, as it
+// dispatches them.
 func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
+	return newSimulator(cfg, spec, nil)
+}
+
+// NewFromStream wires up a simulator that times the shared stream's
+// block traces instead of emulating them. cfg and spec must have the
+// stream's key; spec.Memory must hold the same initial image the
+// stream was opened on and stays this run's own: it reaches the
+// dispatch cursor on Capture and the final image when Run completes.
+func NewFromStream(cfg config.Config, spec LaunchSpec, st *Stream) (*Simulator, error) {
+	if st == nil {
+		return nil, fmt.Errorf("sim: NewFromStream needs a stream")
+	}
+	return newSimulator(cfg, spec, st)
+}
+
+func newSimulator(cfg config.Config, spec LaunchSpec, st *Stream) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -294,14 +319,20 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 		return nil, err
 	}
 
-	// Functional emulation and block dispatch.
-	s.emul, err = emu.New(spec.Launch, spec.Memory, cfg.SM.L1LineB)
-	if err != nil {
-		return nil, err
+	// Functional emulation and block dispatch. The spec fingerprint
+	// covers the initial memory image, so take it before any block is
+	// emulated.
+	s.specFP = FingerprintSpec(spec)
+	if st == nil {
+		st, err = newStream(cfg, spec, s.specFP, spec.Memory, false)
+		if err != nil {
+			return nil, err
+		}
+	} else if st.key != streamKey(s.specFP, cfg, emu.DefaultMaxWarpInsts) {
+		return nil, fmt.Errorf("sim: launch spec or emulation config does not match the trace stream")
 	}
-	s.emul.ConfigureFlips(cfg.Excep.Flip)
-	s.emul.AddrValid = regionChecker(spec.Regions)
-	s.disp, err = host.NewDispatcher(spec.Launch.Blocks(), s.emul.EmulateBlock)
+	s.stream = st
+	s.disp, err = host.NewDispatcher(spec.Launch.Blocks(), st.block)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +387,6 @@ func New(cfg config.Config, spec LaunchSpec) (*Simulator, error) {
 	// taken at one worker count or sampling period restores under any
 	// other.
 	s.cfgFP = FingerprintConfig(cfg)
-	s.specFP = FingerprintSpec(spec)
 	return s, nil
 }
 
@@ -401,7 +431,7 @@ func (s *Simulator) registerMetrics() {
 		}
 		return t
 	})
-	s.reg.Gauge("emu.flips", s.emul.Flips)
+	s.reg.Gauge("emu.flips", s.flips)
 	s.reg.Gauge("sm.committed", smSum(func(st sm.Stats) int64 { return st.Committed }))
 	s.reg.Gauge("sm.exceptions", smSum(func(st sm.Stats) int64 { return st.Exceptions }))
 	s.reg.Gauge("sm.faults", smSum(func(st sm.Stats) int64 { return st.Faults }))
@@ -567,8 +597,28 @@ func (s *Simulator) StepTo(stop int64) (bool, error) {
 	return false, nil
 }
 
-// Run simulates the launch to completion and returns the result.
+// flips returns the bit flips injected into the blocks dispatched so
+// far, counting a block whose emulation failed.
+func (s *Simulator) flips() int64 {
+	n := s.disp.Issued()
+	if s.disp.Err() != nil {
+		n++
+	}
+	return s.stream.flipsAt(n)
+}
+
+// Run simulates the launch to completion and returns the result. On
+// return spec.Memory holds the image at the dispatch cursor: the final
+// image when the run completed.
 func (s *Simulator) Run() (*Result, error) {
+	r, err := s.run()
+	if serr := s.syncMemory(); err == nil && serr != nil {
+		return nil, serr
+	}
+	return r, err
+}
+
+func (s *Simulator) run() (*Result, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
@@ -663,7 +713,7 @@ func (s *Simulator) collect() *Result {
 		r.Exceptions += st.Exceptions
 		r.Stalls.Add(st.Stalls)
 	}
-	r.Flips = s.emul.Flips()
+	r.Flips = s.flips()
 	r.Metrics = s.reg.Snapshot()
 	r.Series = s.sampler.View()
 	if len(s.sms) > 0 {
