@@ -19,71 +19,15 @@ import (
 	"gpues/internal/config"
 	"gpues/internal/excep"
 	"gpues/internal/sim"
-	"gpues/internal/workloads"
 )
 
 // workerCounts is the differential matrix's worker axis; 1 is the
 // sequential reference.
 var workerCounts = []int{1, 2, 4, 8}
 
-// parCase is one workload/config shape of the differential matrix.
-type parCase struct {
-	name  string
-	bench string
-	place workloads.Placement
-	mut   func(*config.Config)
-	modes []excep.Mode
-}
-
-func parCases() []parCase {
-	return []parCase{
-		{
-			// Fig10 shape: resident data, the operand-log pipeline.
-			name: "fig10-lbm-operand-log", bench: "lbm",
-			place: workloads.Resident(),
-			mut:   func(c *config.Config) { c.Scheme = config.OperandLog },
-			modes: []excep.Mode{excep.ModePrecise},
-		},
-		{
-			// Fig12 shape: on-demand paging with block switching on fault.
-			name: "fig12-sgemm-paging-switching", bench: "sgemm",
-			place: workloads.DemandPaging(),
-			mut: func(c *config.Config) {
-				c.Scheme = config.ReplayQueue
-				c.DemandPaging = true
-				c.Scheduler.Enabled = true
-			},
-			modes: []excep.Mode{excep.ModePrecise, excep.ModePreemptible},
-		},
-		{
-			// Fig13 shape: lazy allocation with GPU-local fault handling.
-			name: "fig13-halloc-spree-lazy-local", bench: "halloc-spree",
-			place: workloads.LazyOutput(),
-			mut: func(c *config.Config) {
-				c.Scheme = config.ReplayQueue
-				c.LazyOutput = true
-				c.Local.Enabled = true
-			},
-			modes: []excep.Mode{excep.ModePrecise, excep.ModePreemptible},
-		},
-	}
-}
-
-// buildSpec builds the case's workload afresh: runs mutate the
-// functional memory image, so every simulation needs its own.
-func buildSpec(t *testing.T, pc parCase) sim.LaunchSpec {
-	t.Helper()
-	spec, err := workloads.Build(pc.bench, workloads.Params{Scale: 1, Placement: pc.place})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spec
-}
-
-func caseConfig(pc parCase, mode excep.Mode, workers int) config.Config {
-	cfg := config.Default()
-	pc.mut(&cfg)
-	cfg.Excep.Mode = mode
+// workerConfig is the case's config at the given worker count.
+func workerConfig(pc parCase, mode excep.Mode, workers int) config.Config {
+	cfg := caseConfig(pc, mode)
 	cfg.Workers = workers
 	return cfg
 }
@@ -92,7 +36,7 @@ func caseConfig(pc parCase, mode excep.Mode, workers int) config.Config {
 // plus the end-of-run per-component state digests.
 func runWithDigests(t *testing.T, pc parCase, mode excep.Mode, workers int) (*sim.Result, []ckpt.SectionDigest) {
 	t.Helper()
-	s, err := sim.New(caseConfig(pc, mode, workers), buildSpec(t, pc))
+	s, err := sim.New(workerConfig(pc, mode, workers), buildSpec(t, pc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +117,7 @@ func TestParallelChaosBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := caseConfig(pc, excep.ModePrecise, workers)
+				cfg := workerConfig(pc, excep.ModePrecise, workers)
 				spec := buildSpec(t, pc)
 				s, err := sim.New(cfg, spec)
 				if err != nil {
@@ -214,7 +158,7 @@ func TestParallelCheckpointCrossWorkers(t *testing.T) {
 	at := refR.Cycles / 2
 
 	saveAt := func(workers int) *ckpt.Checkpoint {
-		s, err := sim.New(caseConfig(pc, mode, workers), buildSpec(t, pc))
+		s, err := sim.New(workerConfig(pc, mode, workers), buildSpec(t, pc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +175,7 @@ func TestParallelCheckpointCrossWorkers(t *testing.T) {
 		return s.Capture()
 	}
 	resume := func(workers int, ck *ckpt.Checkpoint) (*sim.Result, []ckpt.SectionDigest) {
-		s, err := sim.New(caseConfig(pc, mode, workers), buildSpec(t, pc))
+		s, err := sim.New(workerConfig(pc, mode, workers), buildSpec(t, pc))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,8 @@ func telemetryCase() parCase {
 func runTelemetry(t *testing.T, workers int, sampleEvery int64, traced bool) (*sim.Result, []byte, []byte) {
 	t.Helper()
 	pc := telemetryCase()
-	cfg := caseConfig(pc, excep.ModePrecise, workers)
+	cfg := caseConfig(pc, excep.ModePrecise)
+	cfg.Workers = workers
 	cfg.SampleEvery = sampleEvery
 	s, err := sim.New(cfg, buildSpec(t, pc))
 	if err != nil {
@@ -133,7 +134,7 @@ func (c *collectSink) PublishTelemetry(s sim.TelemetrySnapshot) { c.snaps = appe
 
 func TestTelemetrySinkPublishes(t *testing.T) {
 	pc := telemetryCase()
-	cfg := caseConfig(pc, excep.ModePrecise, 1)
+	cfg := caseConfig(pc, excep.ModePrecise)
 	cfg.SampleEvery = 1000
 	s, err := sim.New(cfg, buildSpec(t, pc))
 	if err != nil {
