@@ -19,6 +19,12 @@ func typo() {}
 //simlint:threadsafe sounds plausible // want "unknown simlint directive //simlint:threadsafe"
 func invented() {}
 
+// A retired verb left behind by deleted code is flagged like any other
+// unknown verb.
+//
+//simlint:shardsafe // want "unknown simlint directive //simlint:shardsafe"
+func stale() {}
+
 type fields struct {
 	//simlint:ckptskip known verb, no diagnostic
 	a int

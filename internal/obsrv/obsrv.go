@@ -1,6 +1,6 @@
 // Package obsrv is the read-only live introspection server: it serves
 // the telemetry snapshots a running simulation (or campaign) publishes
-// at its sequential flush point over plain net/http — current status,
+// right after a tick phase over plain net/http — current status,
 // Prometheus-style metrics, the sampled time series, the flight-
 // recorder trace tail, and net/http/pprof.
 //

@@ -1,8 +1,7 @@
-// Differential tests for the telemetry subsystem: sampling at the
-// sequential flush point must leave sim-cycles and per-component
-// digests bit-identical across worker counts, sampling periods, and
-// tracing — and two runs with the same sampling period must export
-// byte-identical series.
+// Differential tests for the telemetry subsystem: sampling after the
+// tick phase must leave sim-cycles and per-component digests
+// bit-identical across sampling periods and tracing — and two runs
+// with the same sampling period must export byte-identical series.
 package sim_test
 
 import (
@@ -29,11 +28,10 @@ func telemetryCase() parCase {
 
 // runTelemetry runs the case under the given knobs and returns the
 // result, the end-of-run digests, and the exported series bytes.
-func runTelemetry(t *testing.T, workers int, sampleEvery int64, traced bool) (*sim.Result, []byte, []byte) {
+func runTelemetry(t *testing.T, sampleEvery int64, traced bool) (*sim.Result, []byte, []byte) {
 	t.Helper()
 	pc := telemetryCase()
 	cfg := caseConfig(pc, excep.ModePrecise)
-	cfg.Workers = workers
 	cfg.SampleEvery = sampleEvery
 	s, err := sim.New(cfg, buildSpec(t, pc))
 	if err != nil {
@@ -59,48 +57,46 @@ func TestTelemetryDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long")
 	}
-	// Reference: sequential, unsampled, untraced.
-	refR, refD, _ := runTelemetry(t, 1, 0, false)
-	// Series reference per sampling period, from the sequential run.
+	// Reference: unsampled, untraced.
+	refR, refD, _ := runTelemetry(t, 0, false)
+	// Series reference per sampling period, from an untraced run.
 	seriesRef := map[int64][]byte{}
 	for _, every := range []int64{1000, 64 * 1024} {
-		_, _, sb := runTelemetry(t, 1, every, false)
+		_, _, sb := runTelemetry(t, every, false)
 		seriesRef[every] = sb
 	}
 
-	for _, workers := range []int{1, 4} {
-		for _, every := range []int64{0, 1000, 64 * 1024} {
-			for _, traced := range []bool{false, true} {
-				name := fmt.Sprintf("w%d-every%d-traced%v", workers, every, traced)
-				t.Run(name, func(t *testing.T) {
-					r, d, sb := runTelemetry(t, workers, every, traced)
-					if r.Cycles != refR.Cycles {
-						t.Errorf("cycles = %d, reference %d", r.Cycles, refR.Cycles)
+	for _, every := range []int64{0, 1000, 64 * 1024} {
+		for _, traced := range []bool{false, true} {
+			name := fmt.Sprintf("every%d-traced%v", every, traced)
+			t.Run(name, func(t *testing.T) {
+				r, d, sb := runTelemetry(t, every, traced)
+				if r.Cycles != refR.Cycles {
+					t.Errorf("cycles = %d, reference %d", r.Cycles, refR.Cycles)
+				}
+				if r.Committed != refR.Committed {
+					t.Errorf("committed = %d, reference %d", r.Committed, refR.Committed)
+				}
+				if !bytes.Equal(d, refD) {
+					t.Errorf("component digests diverge from the unsampled reference")
+				}
+				if every == 0 {
+					if r.Series.N != 0 {
+						t.Errorf("unsampled run has %d samples", r.Series.N)
 					}
-					if r.Committed != refR.Committed {
-						t.Errorf("committed = %d, reference %d", r.Committed, refR.Committed)
-					}
-					if !bytes.Equal(d, refD) {
-						t.Errorf("component digests diverge from the unsampled sequential reference")
-					}
-					if every == 0 {
-						if r.Series.N != 0 {
-							t.Errorf("unsampled run has %d samples", r.Series.N)
-						}
-						return
-					}
-					if !bytes.Equal(sb, seriesRef[every]) {
-						t.Errorf("series bytes diverge from the sequential reference (%d vs %d bytes)",
-							len(sb), len(seriesRef[every]))
-					}
-				})
-			}
+					return
+				}
+				if !bytes.Equal(sb, seriesRef[every]) {
+					t.Errorf("series bytes diverge from the untraced reference (%d vs %d bytes)",
+						len(sb), len(seriesRef[every]))
+				}
+			})
 		}
 	}
 }
 
 func TestSampledSeriesMatchesResult(t *testing.T) {
-	r, _, _ := runTelemetry(t, 1, 1000, false)
+	r, _, _ := runTelemetry(t, 1000, false)
 	if r.Series.N < 2 {
 		t.Fatalf("sampled run produced %d samples", r.Series.N)
 	}
@@ -180,7 +176,7 @@ func TestTelemetrySinkPublishes(t *testing.T) {
 	}
 
 	// Attaching a sink must not change the simulation.
-	plain, _, _ := runTelemetry(t, 1, 1000, false)
+	plain, _, _ := runTelemetry(t, 1000, false)
 	if plain.Cycles != r.Cycles {
 		t.Errorf("sink changed cycles: %d vs %d", r.Cycles, plain.Cycles)
 	}
