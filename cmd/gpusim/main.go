@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"gpues"
+	"gpues/internal/config"
 	"gpues/internal/obsrv"
 	"gpues/internal/prof"
 )
@@ -134,28 +135,12 @@ func main() {
 	}
 
 	cfg := gpues.DefaultConfig()
-	switch *schemeStr {
-	case "baseline":
-		cfg.Scheme = gpues.Baseline
-	case "wd-commit":
-		cfg.Scheme = gpues.WarpDisableCommit
-	case "wd-lastcheck":
-		cfg.Scheme = gpues.WarpDisableLastCheck
-	case "replay-queue":
-		cfg.Scheme = gpues.ReplayQueue
-	case "operand-log":
-		cfg.Scheme = gpues.OperandLog
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *schemeStr)
+	if cfg.Scheme, err = config.ParseScheme(*schemeStr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *linkStr {
-	case "nvlink":
-		cfg.Link = gpues.NVLinkConfig()
-	case "pcie":
-		cfg.Link = gpues.PCIeConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown link %q\n", *linkStr)
+	if cfg.Link, err = config.ParseLink(*linkStr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cfg.SM.OperandLog.SizeKB = *logKB

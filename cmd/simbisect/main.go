@@ -149,20 +149,17 @@ func parseVariant(spec string) (*variant, error) {
 func (v *variant) apply(key, val string) error {
 	switch key {
 	case "scheme":
-		s, err := parseScheme(val)
+		s, err := config.ParseScheme(val)
 		if err != nil {
 			return err
 		}
 		v.cfg.Scheme = s
 	case "link":
-		switch val {
-		case "nvlink":
-			v.cfg.Link = config.NVLinkConfig()
-		case "pcie":
-			v.cfg.Link = config.PCIeConfig()
-		default:
-			return fmt.Errorf("unknown link %q", val)
+		l, err := config.ParseLink(val)
+		if err != nil {
+			return err
 		}
+		v.cfg.Link = l
 	case "paging":
 		b, err := strconv.ParseBool(val)
 		if err != nil {
@@ -224,22 +221,6 @@ func (v *variant) apply(key, val string) error {
 		return fmt.Errorf("unknown override key %q", key)
 	}
 	return nil
-}
-
-func parseScheme(s string) (config.Scheme, error) {
-	switch s {
-	case "baseline":
-		return config.Baseline, nil
-	case "wd-commit":
-		return config.WarpDisableCommit, nil
-	case "wd-lastcheck":
-		return config.WarpDisableLastCheck, nil
-	case "replay-queue":
-		return config.ReplayQueue, nil
-	case "operand-log":
-		return config.OperandLog, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 // newSim builds a fresh, fully wired simulator for the variant; tr may

@@ -138,13 +138,6 @@ func RunChaos(cfg Config, spec LaunchSpec, plan *ChaosPlan) (*ChaosResult, error
 	return sim.RunChaos(cfg, spec, plan)
 }
 
-// RunChaosTraced is RunChaos with an explicit tracer whose events
-// survive the run for export; a nil tracer still attaches a small
-// flight recorder for stall reports.
-func RunChaosTraced(cfg Config, spec LaunchSpec, plan *ChaosPlan, tr *Tracer) (*ChaosResult, error) {
-	return sim.RunChaosTraced(cfg, spec, plan, tr)
-}
-
 // Device exceptions & resilience ------------------------------------------
 
 // ExcepMode selects how a device-raised exception is delivered: precise
@@ -208,7 +201,9 @@ type ChaosRunOptions = sim.ChaosRunOptions
 // with errors.As).
 type DivergenceError = sim.DivergenceError
 
-// RunChaosOpts is RunChaosTraced plus checkpoint/resume knobs.
+// RunChaosOpts is RunChaos with the knobs of ChaosRunOptions: a tracer
+// whose events survive the run for export (nil still attaches a small
+// flight recorder for stall reports), checkpointing and resume.
 func RunChaosOpts(cfg Config, spec LaunchSpec, plan *ChaosPlan, opt ChaosRunOptions) (*ChaosResult, error) {
 	return sim.RunChaosOpts(cfg, spec, plan, opt)
 }

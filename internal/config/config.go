@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"gpues/internal/excep"
 )
@@ -56,6 +57,16 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme returns the scheme whose String is name.
+func ParseScheme(name string) (Scheme, error) {
+	for s := Baseline; s <= OperandLog; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q", name)
+}
+
 // Preemptible reports whether the scheme supports preempting and
 // restarting faulted warps (i.e., any scheme other than the baseline).
 func (s Scheme) Preemptible() bool { return s != Baseline }
@@ -76,6 +87,17 @@ func (ic Interconnect) String() string {
 		return "NVLink"
 	}
 	return "PCIe"
+}
+
+// ParseLink returns the interconnect configuration of the link whose
+// String, lower-cased, is name: "nvlink" or "pcie".
+func ParseLink(name string) (InterconnectConfig, error) {
+	for _, c := range []InterconnectConfig{NVLinkConfig(), PCIeConfig()} {
+		if strings.ToLower(c.Kind.String()) == name {
+			return c, nil
+		}
+	}
+	return InterconnectConfig{}, fmt.Errorf("unknown link %q", name)
 }
 
 // SMConfig holds the per-SM parameters (Table 1, top half).

@@ -68,6 +68,30 @@ func TestSchemeStrings(t *testing.T) {
 	}
 }
 
+func TestParseSchemeAndLink(t *testing.T) {
+	for _, s := range []Scheme{Baseline, WarpDisableCommit, WarpDisableLastCheck, ReplayQueue, OperandLog} {
+		got, err := ParseScheme(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for name, want := range map[string]InterconnectConfig{"nvlink": NVLinkConfig(), "pcie": PCIeConfig()} {
+		got, err := ParseLink(name)
+		if err != nil || got != want {
+			t.Errorf("ParseLink(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+		if strings.ToLower(got.Kind.String()) != name {
+			t.Errorf("ParseLink(%q) kind %v does not round-trip", name, got.Kind)
+		}
+	}
+	if _, err := ParseScheme("warp-disable"); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Errorf("ParseScheme of an unknown name: err = %v", err)
+	}
+	if _, err := ParseLink("infiniband"); err == nil || !strings.Contains(err.Error(), "unknown link") {
+		t.Errorf("ParseLink of an unknown name: err = %v", err)
+	}
+}
+
 func TestFaultCostConstants(t *testing.T) {
 	nv, pc := NVLinkConfig(), PCIeConfig()
 	if nv.FaultCosts.MigrateUS != 12 || nv.FaultCosts.AllocOnlyUS != 10 {

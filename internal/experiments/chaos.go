@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
 
 	"gpues/internal/chaos"
 	"gpues/internal/config"
-	"gpues/internal/sim"
 	"gpues/internal/workloads"
 )
 
@@ -41,116 +38,37 @@ func Chaos(opt Options) (*Result, error) {
 		config.ReplayQueue, config.OperandLog,
 	}
 
-	type cell struct {
-		bench, col string
-		slowdown   float64
-		err        error
-	}
-	sem := make(chan struct{}, opt.Parallelism)
-	results := make(chan cell, len(benches)*len(schemes))
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	// Campaign progress counts clean/chaos halves: two per cell.
-	total := len(benches) * len(schemes) * 2
+	var jobs []runJob
 	for _, bench := range benches {
 		for _, scheme := range schemes {
-			bench, scheme := bench, scheme
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				col := scheme.String()
-				cfg := config.Default()
-				cfg.Scheme = scheme
-				cfg.DemandPaging = true
-				cfg.Scheduler.Enabled = true
-				if opt.SampleEvery > 0 {
-					cfg.SampleEvery = opt.SampleEvery
-				}
-
-				run := func(plan *chaos.Plan) (int64, error) {
-					spec, err := workloads.Build(bench,
-						workloads.Params{Scale: opt.Scale, Placement: workloads.DemandPaging()})
-					if err != nil {
-						return 0, err
-					}
-					cr, err := sim.RunChaos(cfg, spec, plan)
-					if err != nil {
-						return 0, err
-					}
-					if !cr.OracleOK() {
-						return 0, fmt.Errorf("memory diverged from oracle (%d mismatches, first at %#x)",
-							len(cr.Mismatches), cr.Mismatches[0].Addr)
-					}
-					return cr.Cycles, nil
-				}
-
-				// The oracle check needs the full memory trajectory, so
-				// each half runs whole; done-files make a killed sweep
-				// resume at clean/chaos-run granularity.
-				resumable := func(suffix string, plan *chaos.Plan) (int64, error) {
-					j := runJob{bench: bench, col: col + "-" + suffix}
-					if opt.ResumeDir != "" {
-						if cycles, ok := readDone(opt, "chaos", j); ok {
-							if opt.Progress != nil {
-								opt.Progress(fmt.Sprintf("%-14s %-14s %12d cycles (done, skipped)",
-									bench, j.col, cycles))
-							}
-							opt.campaignStep(&done, total,
-								fmt.Sprintf("%s/%s %d cycles (done, skipped)", bench, j.col, cycles))
-							return cycles, nil
-						}
-					}
-					cycles, err := run(plan)
-					if err != nil {
-						return 0, err
-					}
-					if opt.ResumeDir != "" {
-						if err := writeDone(opt, "chaos", j, cycles); err != nil {
-							return 0, fmt.Errorf("recording completion: %w", err)
-						}
-					}
-					opt.campaignStep(&done, total,
-						fmt.Sprintf("%s/%s %d cycles", bench, j.col, cycles))
-					return cycles, nil
-				}
-
-				clean, err := resumable("clean", nil)
-				if err != nil {
-					results <- cell{bench, col, 0, fmt.Errorf("%s/%s clean: %w", bench, col, err)}
-					return
-				}
-				plan, err := chaos.ForLevel(chaosLevel, chaosSeed(bench, col))
-				if err != nil {
-					results <- cell{bench, col, 0, err}
-					return
-				}
-				stormy, err := resumable("chaos", plan)
-				if err != nil {
-					results <- cell{bench, col, 0, fmt.Errorf("%s/%s chaos: %w", bench, col, err)}
-					return
-				}
-				if opt.Progress != nil {
-					opt.Progress(fmt.Sprintf("%-14s %-14s clean=%d chaos=%d (%s)",
-						bench, col, clean, stormy, plan.Summary()))
-				}
-				results <- cell{bench, col, float64(stormy) / float64(clean), nil}
-			}()
+			cfg := config.Default()
+			cfg.Scheme = scheme
+			cfg.DemandPaging = true
+			cfg.Scheduler.Enabled = true
+			plan, err := chaos.ForLevel(chaosLevel, chaosSeed(bench, scheme.String()))
+			if err != nil {
+				return nil, err
+			}
+			// The oracle check needs the full memory trajectory, so each
+			// half is one whole job.
+			clean := runJob{bench: bench, col: scheme.String() + "-clean", cfg: cfg,
+				place: workloads.DemandPaging(), kind: chaosJob}
+			stormy := clean
+			stormy.col, stormy.plan = scheme.String()+"-chaos", plan
+			jobs = append(jobs, clean, stormy)
 		}
 	}
-	wg.Wait()
-	close(results)
-
+	recs, err := runJobs(opt, "chaos", jobs, newStreamTable(jobs))
+	if err != nil {
+		return nil, err
+	}
 	values := make(map[string]map[string]float64)
-	for c := range results {
-		if c.err != nil {
-			return nil, c.err
+	for i := 0; i < len(jobs); i += 2 { // a clean half, then its chaos half
+		j := jobs[i]
+		if values[j.bench] == nil {
+			values[j.bench] = make(map[string]float64)
 		}
-		if values[c.bench] == nil {
-			values[c.bench] = make(map[string]float64)
-		}
-		values[c.bench][c.col] = c.slowdown
+		values[j.bench][j.cfg.Scheme.String()] = float64(recs[i+1].Cycles) / float64(recs[i].Cycles)
 	}
 
 	res := &Result{

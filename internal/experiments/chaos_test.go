@@ -63,8 +63,11 @@ func TestChaosKillAndResume(t *testing.T) {
 		t.Errorf("skipped %d halves on resume, want 5:\n%s", skipped, strings.Join(lines, "\n"))
 	}
 
-	// A third pass must skip everything.
+	// A third pass must skip everything, and its last campaign step must
+	// count every half.
 	lines = nil
+	var steps, total int
+	opt.CampaignProgress = func(d, n int, _ string) { steps, total = d, n }
 	if _, err := Chaos(opt); err != nil {
 		t.Fatal(err)
 	}
@@ -76,5 +79,8 @@ func TestChaosKillAndResume(t *testing.T) {
 	}
 	if skipped != 8 {
 		t.Errorf("skipped %d halves on full resume, want 8", skipped)
+	}
+	if steps != 8 || total != 8 {
+		t.Errorf("final campaign progress = %d/%d, want 8/8", steps, total)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"gpues/internal/atomicio"
+	"gpues/internal/chaos"
 	"gpues/internal/config"
 	"gpues/internal/excep"
 	"gpues/internal/obs"
@@ -34,30 +35,24 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Progress, when set, receives one line per completed run. Calls
+	// Progress, when set, receives one line per finished job. Calls
 	// are serialized (one at a time, across Progress and
 	// CampaignProgress), so the callback needs no lock of its own.
 	Progress func(string)
-	// TraceDir, when set, writes one Chrome trace JSON per simulation
-	// into the directory as <bench>-<column>.trace.json.
+	// TraceDir, when set, writes one Chrome trace JSON per figure or
+	// sweep simulation into the directory as <bench>-<column>.trace.json
+	// (chaos halves and resilience trials are not traced).
 	TraceDir string
 	// TraceFilter selects the traced event kinds (obs.ParseFilter
 	// syntax; empty records everything).
 	TraceFilter string
-	// ResumeDir, when set, makes the campaign crash-recoverable:
-	// finished runs record their cycle counts as
-	// <fig>-<bench>-<col>.done.json (skipped on the next invocation),
-	// and in-flight runs checkpoint periodically into
-	// <fig>-<bench>-<col>.ckpts and resume from the latest checkpoint.
-	// The chaos sweep resumes at cell granularity only: its oracle
-	// check needs the full run's memory trajectory, so each clean or
-	// chaos run executes whole, but finished halves record done-files
-	// (as chaos-<bench>-<scheme>-{clean,chaos}.done.json) and are
-	// skipped when a killed sweep is re-invoked.
+	// ResumeDir, when set, makes the campaign crash-recoverable: every
+	// finished job — a figure or sweep simulation, a chaos-sweep clean
+	// or chaos half, a resilience trial — records its result as
+	// <fig>-<bench>-<col>.done.json, keyed on the scale and the job's
+	// config fingerprint, and a re-invocation with the same options
+	// skips it. Unfinished jobs rerun from the start.
 	ResumeDir string
-	// CheckpointEvery is the in-flight checkpoint period in cycles when
-	// ResumeDir is set (0 = a sensible default).
-	CheckpointEvery int64
 	// Trials is the seeded trial count per resilience-campaign cell
 	// (0 = the campaign default; other sweeps ignore it).
 	Trials int
@@ -89,50 +84,12 @@ type Options struct {
 	CampaignProgress func(done, total int, last string)
 }
 
-// defaultCheckpointEvery is the in-flight checkpoint period when
-// Options.ResumeDir is set without an explicit CheckpointEvery.
-const defaultCheckpointEvery = 100_000
-
-func (o Options) checkpointEvery() int64 {
-	if o.CheckpointEvery > 0 {
-		return o.CheckpointEvery
-	}
-	return defaultCheckpointEvery
-}
-
-// campaignStep reports one finished unit of campaign work to the
-// CampaignProgress hook; done is the campaign-wide atomic counter the
-// concurrent workers share.
-func (o Options) campaignStep(done *atomic.Int64, total int, last string) {
-	if o.CampaignProgress == nil {
-		return
-	}
-	o.CampaignProgress(int(done.Add(1)), total, last)
-}
-
 func (o Options) normalize() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	// Campaign workers report concurrently; one lock serializes both
-	// callbacks so callers can keep unsynchronized state in them.
-	mu := new(sync.Mutex)
-	if p := o.Progress; p != nil {
-		o.Progress = func(line string) {
-			mu.Lock()
-			defer mu.Unlock()
-			p(line)
-		}
-	}
-	if p := o.CampaignProgress; p != nil {
-		o.CampaignProgress = func(done, total int, last string) {
-			mu.Lock()
-			defer mu.Unlock()
-			p(done, total, last)
-		}
 	}
 	return o
 }
@@ -196,16 +153,32 @@ func geomean(rows []Row, col string) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// runJob identifies one simulation. bench doubles as the result row
-// label; realBench, when set, is the workload actually built (used by
-// the scalability/ablation sweeps whose rows are parameters, not
-// benchmarks).
+// jobKind says how a job runs.
+type jobKind uint8
+
+const (
+	// plainJob is a timing run; jobs that build the same image time one
+	// shared trace stream (see streamTable).
+	plainJob jobKind = iota
+	// chaosJob is a sim.RunChaos run checked against the functional
+	// oracle; runJob.plan is nil for the clean half.
+	chaosJob
+	// trialJob is one bit-flip resilience trial (sim.RunResilienceTrial).
+	trialJob
+)
+
+// runJob identifies one unit of campaign work. bench doubles as the
+// result row label; realBench, when set, is the workload actually built
+// (used by the scalability/ablation sweeps whose rows are parameters,
+// not benchmarks).
 type runJob struct {
 	bench     string
 	realBench string
 	col       string
 	cfg       config.Config
 	place     workloads.Placement
+	kind      jobKind
+	plan      *chaos.Plan // chaos jobs: the injection plan, nil for the clean half
 }
 
 // buildSpec builds the job's workload afresh (runs mutate the
@@ -238,19 +211,22 @@ func (j runJob) streamGroup() streamGroup {
 }
 
 // streamTable hands out one shared trace stream per group of a
-// campaign's jobs. The group's first job to simulate opens it and the
-// group's last job to finish drops it, so a stream lives only while
-// its group's jobs are running or queued next.
+// campaign's plain jobs. The group's first job to simulate opens it and
+// the group's last job to finish drops it, so a stream lives only while
+// its group's jobs are running or queued next. Chaos and trial jobs
+// never draw from it: their oracles re-emulate from a private image.
 type streamTable struct {
 	mu      sync.Mutex
-	pending map[streamGroup]int // jobs of the group not yet finished
+	pending map[streamGroup]int // plain jobs of the group not yet finished
 	open    map[streamGroup]*sim.Stream
 }
 
 func newStreamTable(jobs []runJob) *streamTable {
 	t := &streamTable{pending: map[streamGroup]int{}, open: map[streamGroup]*sim.Stream{}}
 	for _, j := range jobs {
-		t.pending[j.streamGroup()]++
+		if j.kind == plainJob {
+			t.pending[j.streamGroup()]++
+		}
 	}
 	return t
 }
@@ -285,9 +261,12 @@ func (t *streamTable) stream(g streamGroup, cfg config.Config, spec sim.LaunchSp
 	return st, nil
 }
 
-// finish records that one of the group's jobs is done; the last one
-// drops the group's stream.
+// finish records that one of the group's plain jobs is done; the last
+// one drops the group's stream.
 func (t *streamTable) finish(j runJob) {
+	if j.kind != plainJob {
+		return
+	}
 	g := j.streamGroup()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -337,69 +316,61 @@ func takeOrder(jobs []runJob) []int {
 	return order
 }
 
-// runOne runs one job, attaching a tracer and/or in-flight
-// checkpointing as the options ask.
-func runOne(opt Options, fig string, j runJob, streams *streamTable) (*sim.Result, error) {
+// runOne runs one job the way its kind says and fills in the record's
+// result fields.
+func runOne(opt Options, j runJob, streams *streamTable, rec *doneRecord) error {
 	if opt.SampleEvery > 0 {
 		j.cfg.SampleEvery = opt.SampleEvery
 	}
 	spec, err := buildSpec(opt, j)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if opt.TraceDir == "" && opt.ResumeDir == "" {
-		s, err := streams.newSim(j, spec)
+	switch j.kind {
+	case chaosJob:
+		cr, err := sim.RunChaos(j.cfg, spec, j.plan)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return s.Run()
+		if !cr.OracleOK() {
+			return fmt.Errorf("memory diverged from oracle (%d mismatches, first at %#x)",
+				len(cr.Mismatches), cr.Mismatches[0].Addr)
+		}
+		rec.Cycles = cr.Cycles
+		return nil
+	case trialJob:
+		tr, err := sim.RunResilienceTrial(j.cfg, spec, sim.TrialOptions{MaxWarpInsts: resilienceWarpInsts})
+		if err != nil {
+			return err
+		}
+		rec.Cycles, rec.Outcome = tr.Cycles, tr.Outcome.String()
+		return nil
+	default:
+		rec.Cycles, err = runPlain(opt, j, spec, streams)
+		return err
 	}
-	var mask uint64
+}
+
+// runPlain times a plain job on a simulator fed by the campaign's trace
+// streams, attaching a tracer when Options.TraceDir asks for one.
+func runPlain(opt Options, j runJob, spec sim.LaunchSpec, streams *streamTable) (int64, error) {
+	var tr *obs.Tracer
 	if opt.TraceDir != "" {
-		if mask, err = obs.ParseFilter(opt.TraceFilter); err != nil {
-			return nil, err
-		}
-	}
-	wire := func(spec sim.LaunchSpec) (*sim.Simulator, *obs.Tracer, error) {
-		s, err := streams.newSim(j, spec)
+		mask, err := obs.ParseFilter(opt.TraceFilter)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		var tr *obs.Tracer
-		if opt.TraceDir != "" {
-			tr = obs.New(obs.Options{Filter: mask})
-			s.AttachTracer(tr)
-		}
-		if opt.ResumeDir != "" {
-			s.CheckpointEvery = opt.checkpointEvery()
-			s.CheckpointDir = jobCheckpointDir(opt.ResumeDir, fig, j)
-		}
-		return s, tr, nil
+		tr = obs.New(obs.Options{Filter: mask})
 	}
-	s, tr, err := wire(spec)
+	s, err := streams.newSim(j, spec)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if opt.ResumeDir != "" {
-		if path, rerr := sim.ResolveCheckpoint(s.CheckpointDir); rerr == nil {
-			if rerr := s.RestoreFile(path); rerr != nil {
-				// Stale or incompatible checkpoint (changed config,
-				// scale, or binary): discard it and run from scratch on
-				// a fresh simulator and memory image.
-				if opt.Progress != nil {
-					opt.Progress(fmt.Sprintf("%s/%s: discarding checkpoint: %v", j.bench, j.col, rerr))
-				}
-				if spec, err = buildSpec(opt, j); err != nil {
-					return nil, err
-				}
-				if s, tr, err = wire(spec); err != nil {
-					return nil, err
-				}
-			}
-		}
+	if tr != nil {
+		s.AttachTracer(tr)
 	}
 	r, runErr := s.Run()
-	if opt.TraceDir != "" {
+	if tr != nil {
 		// Export even when the run failed — a failed run's trace is the
 		// most useful one. The run error still wins the return.
 		path := filepath.Join(opt.TraceDir, fmt.Sprintf("%s-%s.trace.json", j.bench, j.col))
@@ -415,110 +386,122 @@ func runOne(opt Options, fig string, j runJob, streams *streamTable) (*sim.Resul
 			return err
 		}()
 		if runErr == nil && werr != nil {
-			return nil, werr
+			return 0, werr
 		}
 	}
 	if runErr != nil {
-		return nil, runErr
+		return 0, runErr
 	}
-	return r, nil
+	return r.Cycles, nil
 }
 
-// doneRecord is the crash-recovery marker of one finished run.
+// doneRecord is one finished job's result and, with Options.ResumeDir
+// set, its crash-recovery marker.
 type doneRecord struct {
-	Fig    string `json:"fig"`
-	Bench  string `json:"bench"`
-	Col    string `json:"col"`
-	Scale  int    `json:"scale"`
-	Cycles int64  `json:"cycles"`
+	Fig   string `json:"fig"`
+	Bench string `json:"bench"`
+	Col   string `json:"col"`
+	Scale int    `json:"scale"`
+	// Config is sim.FingerprintConfig of the job's config, so a campaign
+	// re-invoked with other settings (flip rate, seed, protection,
+	// exception mode) reuses none of the first one's results.
+	Config  uint64 `json:"config"`
+	Cycles  int64  `json:"cycles"`
+	Outcome string `json:"outcome,omitempty"` // trial jobs: the outcome class
 }
 
-// jobKey is the per-run file stem inside ResumeDir.
-func jobKey(fig string, j runJob) string {
-	return fmt.Sprintf("%s-%s-%s", fig, j.bench, j.col)
+// line renders the record as a progress line.
+func (d doneRecord) line(skipped bool) string {
+	line := fmt.Sprintf("%-14s %-14s %12d cycles", d.Bench, d.Col, d.Cycles)
+	if d.Outcome != "" {
+		line += " " + d.Outcome
+	}
+	if skipped {
+		line += " (done, skipped)"
+	}
+	return line
 }
 
-func doneFilePath(dir, fig string, j runJob) string {
-	return filepath.Join(dir, jobKey(fig, j)+".done.json")
+// doneFilePath is the job's done-file inside ResumeDir.
+func doneFilePath(dir string, d doneRecord) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-%s-%s.done.json", d.Fig, d.Bench, d.Col))
 }
 
-func jobCheckpointDir(dir, fig string, j runJob) string {
-	return filepath.Join(dir, jobKey(fig, j)+".ckpts")
-}
-
-// readDone returns a prior invocation's cycle count for the job, if a
-// matching done-file exists. Torn or malformed files read as absent,
-// so the job simply reruns.
-func readDone(opt Options, fig string, j runJob) (int64, bool) {
+// readDone returns a prior invocation's record of the job whose key
+// fields are in want, if a matching done-file exists. Torn, malformed
+// or mismatched files read as absent, so the job simply reruns.
+func readDone(dir string, want doneRecord) (doneRecord, bool) {
 	var d doneRecord
-	if atomicio.ReadJSON(doneFilePath(opt.ResumeDir, fig, j), &d) != nil {
-		return 0, false
+	if atomicio.ReadJSON(doneFilePath(dir, want), &d) != nil {
+		return d, false
 	}
-	if d.Fig != fig || d.Bench != j.bench || d.Col != j.col || d.Scale != opt.Scale {
-		return 0, false
-	}
-	return d.Cycles, true
-}
-
-// writeDone atomically records a finished run (atomicio tmp+rename) and
-// drops its now-useless in-flight checkpoints.
-func writeDone(opt Options, fig string, j runJob, cycles int64) error {
-	d := doneRecord{Fig: fig, Bench: j.bench, Col: j.col, Scale: opt.Scale, Cycles: cycles}
-	if err := atomicio.WriteJSON(doneFilePath(opt.ResumeDir, fig, j), d); err != nil {
-		return err
-	}
-	os.RemoveAll(jobCheckpointDir(opt.ResumeDir, fig, j))
-	return nil
+	want.Cycles, want.Outcome = d.Cycles, d.Outcome
+	return d, d == want
 }
 
 // runAll executes the figure's jobs and returns cycles[bench][col].
-// Jobs that build the same image share one trace stream (see
-// streamTable), so a figure's schemes time a single emulation of each
-// workload; Options.Parallelism workers take the jobs in takeOrder.
-// With Options.ResumeDir set, jobs already recorded as done are skipped
-// and finishing jobs are recorded, so a killed campaign re-invoked with
-// the same options continues where it stopped.
 func runAll(opt Options, fig string, jobs []runJob) (map[string]map[string]int64, error) {
-	return runJobs(opt, fig, jobs, newStreamTable(jobs))
+	recs, err := runJobs(opt, fig, jobs, newStreamTable(jobs))
+	if err != nil {
+		return nil, err
+	}
+	cycles := make(map[string]map[string]int64)
+	for i, j := range jobs {
+		if cycles[j.bench] == nil {
+			cycles[j.bench] = make(map[string]int64)
+		}
+		cycles[j.bench][j.col] = recs[i].Cycles
+	}
+	return cycles, nil
 }
 
-// runJobs is runAll over a given stream table.
-func runJobs(opt Options, fig string, jobs []runJob, streams *streamTable) (map[string]map[string]int64, error) {
-	type out struct {
-		cycles int64
-		err    error
-	}
-	outs := make([]out, len(jobs))
-	var next, done atomic.Int64
-	total := len(jobs)
-	run := func(j runJob) (int64, error) {
-		if opt.ResumeDir != "" {
-			if cycles, ok := readDone(opt, fig, j); ok {
-				line := fmt.Sprintf("%-14s %-14s %12d cycles (done, skipped)", j.bench, j.col, cycles)
-				if opt.Progress != nil {
-					opt.Progress(line)
-				}
-				opt.campaignStep(&done, total, line)
-				return cycles, nil
-			}
-		}
-		r, err := runOne(opt, fig, j, streams)
-		if err != nil {
-			return 0, fmt.Errorf("%s/%s: %w", j.bench, j.col, err)
-		}
-		if opt.ResumeDir != "" {
-			if err := writeDone(opt, fig, j, r.Cycles); err != nil {
-				return 0, fmt.Errorf("%s/%s: recording completion: %w", j.bench, j.col, err)
-			}
-		}
-		line := fmt.Sprintf("%-14s %-14s %12d cycles", j.bench, j.col, r.Cycles)
+// runJobs is the campaign executor: Options.Parallelism workers take
+// the jobs in takeOrder and return one record per job, in job order.
+// Plain jobs that build the same image share one trace stream from
+// streams. Every finished job reports one Progress line and one
+// CampaignProgress step out of len(jobs). With Options.ResumeDir set,
+// jobs already recorded as done are skipped and finishing jobs are
+// recorded (atomicio tmp+rename), so a killed campaign re-invoked with
+// the same options continues where it stopped.
+func runJobs(opt Options, fig string, jobs []runJob, streams *streamTable) ([]doneRecord, error) {
+	recs := make([]doneRecord, len(jobs))
+	errs := make([]error, len(jobs))
+	var mu sync.Mutex // serializes the callbacks and guards done
+	done := 0
+	report := func(line string) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
 		if opt.Progress != nil {
 			opt.Progress(line)
 		}
-		opt.campaignStep(&done, total, line)
-		return r.Cycles, nil
+		if opt.CampaignProgress != nil {
+			opt.CampaignProgress(done, len(jobs), line)
+		}
+	}
+	run := func(j runJob, rec *doneRecord) error {
+		*rec = doneRecord{Fig: fig, Bench: j.bench, Col: j.col, Scale: opt.Scale}
+		if opt.ResumeDir != "" {
+			rec.Config = sim.FingerprintConfig(j.cfg)
+			if d, ok := readDone(opt.ResumeDir, *rec); ok {
+				*rec = d
+				report(d.line(true))
+				return nil
+			}
+		}
+		if err := runOne(opt, j, streams, rec); err != nil {
+			return fmt.Errorf("%s/%s: %w", j.bench, j.col, err)
+		}
+		if opt.ResumeDir != "" {
+			if err := atomicio.WriteJSON(doneFilePath(opt.ResumeDir, *rec), *rec); err != nil {
+				return fmt.Errorf("%s/%s: recording completion: %w", j.bench, j.col, err)
+			}
+		}
+		report(rec.line(false))
+		return nil
 	}
 	order := takeOrder(jobs)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < min(opt.Parallelism, len(jobs)); w++ {
 		wg.Add(1)
@@ -526,23 +509,18 @@ func runJobs(opt Options, fig string, jobs []runJob, streams *streamTable) (map[
 			defer wg.Done()
 			for n := int(next.Add(1)) - 1; n < len(jobs); n = int(next.Add(1)) - 1 {
 				i := order[n]
-				outs[i].cycles, outs[i].err = run(jobs[i])
+				errs[i] = run(jobs[i], &recs[i])
 				streams.finish(jobs[i])
 			}
 		}()
 	}
 	wg.Wait()
-	cycles := make(map[string]map[string]int64)
-	for i, j := range jobs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		if cycles[j.bench] == nil {
-			cycles[j.bench] = make(map[string]int64)
-		}
-		cycles[j.bench][j.col] = outs[i].cycles
 	}
-	return cycles, nil
+	return recs, nil
 }
 
 // assemble builds a Result with values[col] = cycles[base]/cycles[col]

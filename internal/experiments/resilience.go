@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
 
 	"gpues/internal/config"
 	"gpues/internal/excep"
-	"gpues/internal/sim"
 	"gpues/internal/workloads"
 )
 
@@ -81,69 +78,6 @@ func Resilience(opt Options) (*Result, error) {
 	}
 	prots := opt.protCells()
 
-	type cell struct {
-		row    string
-		counts []float64
-		err    error
-	}
-	sem := make(chan struct{}, opt.Parallelism)
-	results := make(chan cell, len(benches)*len(prots))
-	var wg sync.WaitGroup
-	var doneTrials atomic.Int64
-	// Campaign progress counts individual trials.
-	totalTrials := len(benches) * len(prots) * trials
-	for _, bench := range benches {
-		for _, prot := range prots {
-			bench, prot := bench, prot
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				row := fmt.Sprintf("%s/%s", bench, prot.label)
-				counts := make([]float64, excep.NumOutcomes)
-				base := opt.FlipSeed
-				if base == 0 {
-					base = resilienceSeed(bench, prot.label)
-				}
-				for trial := 0; trial < trials; trial++ {
-					spec, err := workloads.Build(bench,
-						workloads.Params{Scale: opt.Scale, Placement: workloads.Resident()})
-					if err != nil {
-						results <- cell{row, nil, err}
-						return
-					}
-					cfg := config.Default()
-					cfg.Excep.Mode = opt.ExcepMode
-					if opt.ExcepMode == excep.ModePreemptible {
-						cfg.Scheme = config.ReplayQueue
-					}
-					cfg.Excep.Flip = excep.FlipConfig{
-						Seed:           base + int64(trial),
-						Rate:           rate,
-						ProtectThreads: prot.threads(spec.Launch.ThreadsPerBlock()),
-					}
-					tr, err := sim.RunResilienceTrial(cfg, spec,
-						sim.TrialOptions{MaxWarpInsts: resilienceWarpInsts})
-					if err != nil {
-						results <- cell{row, nil, fmt.Errorf("%s trial %d: %w", row, trial, err)}
-						return
-					}
-					counts[tr.Outcome]++
-					line := fmt.Sprintf("%-20s trial %d: %-9v flips=%d cycles=%d",
-						row, trial, tr.Outcome, tr.Flips, tr.Cycles)
-					if opt.Progress != nil {
-						opt.Progress(line)
-					}
-					opt.campaignStep(&doneTrials, totalTrials, line)
-				}
-				results <- cell{row, counts, nil}
-			}()
-		}
-	}
-	wg.Wait()
-	close(results)
-
 	res := &Result{
 		ID:      "resilience",
 		Title:   fmt.Sprintf("Bit-flip outcome classification (%d trials/cell, rate %.0e, %v delivery)", trials, rate, opt.ExcepMode),
@@ -153,22 +87,48 @@ func Resilience(opt Options) (*Result, error) {
 	for o := excep.Outcome(0); o < excep.NumOutcomes; o++ {
 		res.Columns = append(res.Columns, o.String())
 	}
-	byRow := map[string][]float64{}
-	for c := range results {
-		if c.err != nil {
-			return nil, c.err
-		}
-		byRow[c.row] = c.counts
-	}
+	var jobs []runJob
 	for _, bench := range benches {
+		// A cell's protected-thread count depends on the block size.
+		spec, err := workloads.Build(bench, workloads.Params{Scale: opt.Scale, Placement: workloads.Resident()})
+		if err != nil {
+			return nil, err
+		}
+		tpb := spec.Launch.ThreadsPerBlock()
 		for _, prot := range prots {
 			row := Row{Benchmark: fmt.Sprintf("%s/%s", bench, prot.label), Values: map[string]float64{}}
-			counts := byRow[row.Benchmark]
-			for o := excep.Outcome(0); o < excep.NumOutcomes; o++ {
-				row.Values[o.String()] = counts[o]
+			for _, col := range res.Columns {
+				row.Values[col] = 0
 			}
 			res.Rows = append(res.Rows, row)
+			base := opt.FlipSeed
+			if base == 0 {
+				base = resilienceSeed(bench, prot.label)
+			}
+			for trial := 0; trial < trials; trial++ {
+				cfg := config.Default()
+				cfg.Excep.Mode = opt.ExcepMode
+				if opt.ExcepMode == excep.ModePreemptible {
+					cfg.Scheme = config.ReplayQueue
+				}
+				cfg.Excep.Flip = excep.FlipConfig{
+					Seed:           base + int64(trial),
+					Rate:           rate,
+					ProtectThreads: prot.threads(tpb),
+				}
+				jobs = append(jobs, runJob{bench: bench, col: fmt.Sprintf("%s-t%d", prot.label, trial),
+					cfg: cfg, place: workloads.Resident(), kind: trialJob})
+			}
 		}
+	}
+	recs, err := runJobs(opt, "resilience", jobs, newStreamTable(jobs))
+	if err != nil {
+		return nil, err
+	}
+	// Jobs are listed cell by cell, trials innermost: job i is a trial of
+	// row i/trials.
+	for i, rec := range recs {
+		res.Rows[i/trials].Values[rec.Outcome]++
 	}
 	for _, col := range res.Columns {
 		res.Geomean[col] = geomean(res.Rows, col)

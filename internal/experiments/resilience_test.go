@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpues/internal/excep"
@@ -81,5 +84,61 @@ func TestResiliencePreemptibleMode(t *testing.T) {
 	rows := resilienceCounts(t, opt)
 	if !reflect.DeepEqual(rows, resilienceCounts(t, opt)) {
 		t.Fatal("preemptible-mode counts differ across reruns")
+	}
+}
+
+// TestResilienceKillAndResume exercises the campaign's crash recovery,
+// as TestChaosKillAndResume does the chaos sweep's: a full pass records
+// one done-file per trial; deleting some (a campaign killed mid-flight)
+// and re-invoking reruns exactly those trials and reproduces the
+// result; and a rerun under another flip rate reuses none of them.
+func TestResilienceKillAndResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	dir := t.TempDir()
+	opt := Options{Scale: 1, Benchmarks: []string{"mri-q"}, Trials: 2, FlipSeed: 7, ResumeDir: dir}
+	skips := func() (*Result, int) {
+		t.Helper()
+		var skipped int
+		opt.Progress = func(s string) {
+			if strings.Contains(s, "(done, skipped)") {
+				skipped++
+			}
+		}
+		r, err := Resilience(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, skipped
+	}
+
+	first, _ := skips()
+	done, err := filepath.Glob(filepath.Join(dir, "resilience-mri-q-*.done.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 6 { // 3 protection rungs x 2 trials
+		t.Fatalf("done files = %v, want 6", done)
+	}
+
+	for _, name := range []string{"resilience-mri-q-p0-t1.done.json", "resilience-mri-q-p100-t0.done.json"} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, skipped := skips()
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("resumed campaign differs:\nfirst  %v\nsecond %v", first, second)
+	}
+	if skipped != 4 { // 6 trials minus the 2 deleted done-files
+		t.Errorf("skipped %d trials on resume, want 4", skipped)
+	}
+
+	// Same benchmarks, cells and trial names, another flip rate: every
+	// done-file's config fingerprint mismatches.
+	opt.FlipRate = 2 * resilienceFlipRate
+	if _, skipped := skips(); skipped != 0 {
+		t.Errorf("skipped %d trials under another flip rate, want 0", skipped)
 	}
 }

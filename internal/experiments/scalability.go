@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"gpues/internal/config"
 	"gpues/internal/workloads"
@@ -38,16 +37,15 @@ func SchemeScalability(opt Options) (*Result, error) {
 			cfg.System.NumSMs = sms
 			cfg.Scheme = s
 			jobs = append(jobs, runJob{
-				bench: fmt.Sprintf("%d-SMs", sms),
-				col:   s.String(),
-				cfg:   cfg,
-				place: workloads.Resident(),
+				bench:     fmt.Sprintf("%d-SMs", sms),
+				realBench: bench,
+				col:       s.String(),
+				cfg:       cfg,
+				place:     workloads.Resident(),
 			})
 		}
 	}
-	// All rows run the same benchmark; runJob.bench doubles as the row
-	// label, so resolve the real benchmark in a custom runner.
-	cycles, err := runAllNamed(opt, "scal-schemes", bench, jobs)
+	cycles, err := runAll(opt, "scal-schemes", jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -89,12 +87,13 @@ func LocalHandlingScalability(opt Options) (*Result, error) {
 		cpu := config.Default()
 		cpu.System.NumSMs = sms
 		cpu.Scheme = config.ReplayQueue
-		jobs = append(jobs, runJob{bench: fmt.Sprintf("%d-SMs", sms), col: "cpu", cfg: cpu, place: workloads.LazyOutput()})
+		label := fmt.Sprintf("%d-SMs", sms)
+		jobs = append(jobs, runJob{bench: label, realBench: bench, col: "cpu", cfg: cpu, place: workloads.LazyOutput()})
 		gpu := cpu
 		gpu.Local.Enabled = true
-		jobs = append(jobs, runJob{bench: fmt.Sprintf("%d-SMs", sms), col: "gpu-local", cfg: gpu, place: workloads.LazyOutput()})
+		jobs = append(jobs, runJob{bench: label, realBench: bench, col: "gpu-local", cfg: gpu, place: workloads.LazyOutput()})
 	}
-	cycles, err := runAllNamed(opt, "scal-local", bench, jobs)
+	cycles, err := runAll(opt, "scal-local", jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -115,15 +114,6 @@ func LocalHandlingScalability(opt Options) (*Result, error) {
 	}
 	res.Geomean["speedup"] = geomean(res.Rows, "speedup")
 	return res, nil
-}
-
-// runAllNamed is runAll for jobs whose bench field is a row label
-// rather than a workload name: every job runs `bench`.
-func runAllNamed(opt Options, fig, bench string, jobs []runJob) (map[string]map[string]int64, error) {
-	for i := range jobs {
-		jobs[i].realBench = bench
-	}
-	return runAll(opt, fig, jobs)
 }
 
 // Ablations runs the design-parameter sweeps: each Result isolates one
@@ -262,11 +252,6 @@ func sweep(opt Options, id, title, metric, bench string, place workloads.Placeme
 		Metric:  metric,
 		Geomean: map[string]float64{},
 	}
-	labels := make([]string, 0, len(values))
-	for _, v := range values {
-		labels = append(labels, fmt.Sprintf("%d", v))
-	}
-	sort.Strings(labels) // stable row order; numeric labels sort well enough for small sweeps
 	if baseMut != nil {
 		res.Columns = []string{"speedup"}
 		base := cycles["base"]["run"]

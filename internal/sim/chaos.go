@@ -93,7 +93,7 @@ func oracleMemory(l *kernel.Launch, mem *emu.Memory, lineSize int) (*emu.Memory,
 // ChaosResult carries the event log and fingerprint even when the run
 // itself fails (its Result is nil in that case).
 func RunChaos(cfg config.Config, spec LaunchSpec, plan *chaos.Plan) (*ChaosResult, error) {
-	return RunChaosTraced(cfg, spec, plan, nil)
+	return RunChaosOpts(cfg, spec, plan, ChaosRunOptions{})
 }
 
 // chaosRingSize bounds the default chaos flight recorder: enough for
@@ -104,18 +104,12 @@ const chaosRingSize = 4096
 // fault lifecycle plus context switching and both handler paths.
 const chaosTraceFilter = "fault,switch,migrate,local"
 
-// RunChaosTraced is RunChaos with an explicit tracer. When tr is nil, a
-// small flight-recorder tracer (fault, switch, migrate and local
-// events) is attached anyway, so a failing run's StallReport carries
-// the recent fault-lifecycle history; pass a tracer built from
-// obs.Options to keep it for export.
-func RunChaosTraced(cfg config.Config, spec LaunchSpec, plan *chaos.Plan, tr *obs.Tracer) (*ChaosResult, error) {
-	return RunChaosOpts(cfg, spec, plan, ChaosRunOptions{Tracer: tr})
-}
-
 // ChaosRunOptions carries the optional knobs of a chaos run.
 type ChaosRunOptions struct {
-	// Tracer to attach; nil attaches the default flight recorder.
+	// Tracer to attach. When nil, a small flight-recorder tracer (fault,
+	// switch, migrate and local events) is attached anyway, so a failing
+	// run's StallReport carries the recent fault-lifecycle history; pass
+	// a tracer built from obs.Options to keep it for export.
 	Tracer *obs.Tracer
 	// CheckpointEvery/CheckpointDir enable periodic checkpoints.
 	CheckpointEvery int64
@@ -130,7 +124,7 @@ type ChaosRunOptions struct {
 	TelemetryEvery int64
 }
 
-// RunChaosOpts is RunChaosTraced plus checkpoint/resume knobs.
+// RunChaosOpts is RunChaos with the optional knobs of ChaosRunOptions.
 func RunChaosOpts(cfg config.Config, spec LaunchSpec, plan *chaos.Plan, opt ChaosRunOptions) (*ChaosResult, error) {
 	initial := spec.Memory
 	if initial == nil {

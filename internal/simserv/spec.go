@@ -54,27 +54,19 @@ func (js JobSpec) scale() int {
 // at admission, not on a worker.
 func (js JobSpec) Build() (config.Config, sim.LaunchSpec, error) {
 	cfg := config.Default()
-	switch js.Scheme {
-	case "", "baseline":
-		cfg.Scheme = config.Baseline
-	case "wd-commit":
-		cfg.Scheme = config.WarpDisableCommit
-	case "wd-lastcheck":
-		cfg.Scheme = config.WarpDisableLastCheck
-	case "replay-queue":
-		cfg.Scheme = config.ReplayQueue
-	case "operand-log":
-		cfg.Scheme = config.OperandLog
-	default:
-		return cfg, sim.LaunchSpec{}, fmt.Errorf("simserv: unknown scheme %q", js.Scheme)
+	if js.Scheme != "" {
+		s, err := config.ParseScheme(js.Scheme)
+		if err != nil {
+			return cfg, sim.LaunchSpec{}, fmt.Errorf("simserv: %w", err)
+		}
+		cfg.Scheme = s
 	}
-	switch js.Link {
-	case "", "nvlink":
-		cfg.Link = config.NVLinkConfig()
-	case "pcie":
-		cfg.Link = config.PCIeConfig()
-	default:
-		return cfg, sim.LaunchSpec{}, fmt.Errorf("simserv: unknown link %q", js.Link)
+	if js.Link != "" {
+		l, err := config.ParseLink(js.Link)
+		if err != nil {
+			return cfg, sim.LaunchSpec{}, fmt.Errorf("simserv: %w", err)
+		}
+		cfg.Link = l
 	}
 	place := workloads.Resident()
 	switch js.Placement {
