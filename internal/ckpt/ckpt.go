@@ -7,13 +7,14 @@
 // mid-write) is detected rather than restored.
 //
 // Components implement Saver: SaveState appends the component's state
-// to a Writer as a flat sequence of typed fields; RestoreState reads
-// the same fields back in the same order. Serialization must be
-// deterministic — in particular, map-keyed state must be written in
-// sorted key order (the simlint determinism analyzer covers this
-// package). Section digests double as the per-component state
-// fingerprints that cmd/simbisect compares when binary-searching for
-// the first cycle two runs diverge.
+// to a Writer as a flat sequence of typed fields. Nothing reads those
+// fields back: restore replays a fresh simulator to the checkpoint
+// cycle and byte-compares its sections against the checkpoint's.
+// Serialization must be deterministic — in particular, map-keyed state
+// must be written in sorted key order (the simlint determinism analyzer
+// covers this package). Section digests double as the per-component
+// state fingerprints that cmd/simbisect compares when binary-searching
+// for the first cycle two runs diverge.
 //
 // See docs/checkpointing.md for the format layout, the determinism
 // contract and the restore (replay-and-verify) model.
@@ -90,9 +91,9 @@ func (s *Hasher) Sum() uint64 { return s.h }
 
 // Saver is the common interface every stateful simulator component
 // implements to participate in checkpointing. SaveState appends the
-// component's state to w; RestoreState consumes the exact same field
-// sequence from r. The two must stay symmetric: restore is verified by
-// byte-comparing a fresh SaveState against the checkpoint section.
+// component's state to w. Restore never decodes it: the replayed
+// simulator's own SaveState output is byte-compared against the
+// checkpoint section, so the bytes only have to capture every field.
 //
 // State that cannot be serialized (scheduled event closures, pooled
 // objects in flight) is represented structurally — counts and sorted
@@ -100,7 +101,6 @@ func (s *Hasher) Sum() uint64 { return s.h }
 // docs/checkpointing.md.
 type Saver interface {
 	SaveState(w *Writer)
-	RestoreState(r *Reader) error
 }
 
 // Writer accumulates one component's serialized state as a flat byte
@@ -155,32 +155,27 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Reader consumes a field stream written by Writer. Errors are sticky:
-// after the first short read every accessor returns the zero value and
-// Err reports the failure, so RestoreState bodies can read
-// unconditionally and check once.
-type Reader struct {
+// reader consumes the checkpoint envelope Encode writes. Errors are
+// sticky: after the first short read every accessor returns the zero
+// value and err holds the failure, so Decode can read unconditionally
+// and check once.
+type reader struct {
 	buf []byte
 	off int
 	err error
 }
 
-// NewReader reads the field stream in b.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+func newReader(b []byte) *reader { return &reader{buf: b} }
 
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *reader) remaining() int { return len(r.buf) - r.off }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-func (r *Reader) fail(n int) {
+func (r *reader) fail(n int) {
 	if r.err == nil {
-		r.err = fmt.Errorf("ckpt: truncated section: need %d bytes at offset %d of %d", n, r.off, len(r.buf))
+		r.err = fmt.Errorf("ckpt: truncated checkpoint: need %d bytes at offset %d of %d", n, r.off, len(r.buf))
 	}
 }
 
-func (r *Reader) take(n int) []byte {
+func (r *reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -193,8 +188,7 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// U64 reads one uint64.
-func (r *Reader) U64() uint64 {
+func (r *reader) u64() uint64 {
 	b := r.take(8)
 	if b == nil {
 		return 0
@@ -202,11 +196,7 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// I64 reads one int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// U32 reads one uint32.
-func (r *Reader) U32() uint32 {
+func (r *reader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
 		return 0
@@ -214,33 +204,18 @@ func (r *Reader) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// Int reads one int64 as an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// Bool reads one byte as a bool.
-func (r *Reader) Bool() bool {
-	b := r.take(1)
-	return b != nil && b[0] != 0
-}
-
-// F64 reads one float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bytes reads one length-prefixed byte slice (a view into the buffer).
-func (r *Reader) Bytes() []byte {
-	n := r.U64()
+// bytes reads one length-prefixed byte slice (a view into the buffer).
+func (r *reader) bytes() []byte {
+	n := r.u64()
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(r.Remaining()) {
+	if n > uint64(r.remaining()) {
 		r.fail(int(n))
 		return nil
 	}
 	return r.take(int(n))
 }
-
-// String reads one length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
 
 // Section is one component's serialized state within a checkpoint.
 type Section struct {
@@ -322,19 +297,19 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if got, want := binary.LittleEndian.Uint64(tail), Digest(body); got != want {
 		return nil, fmt.Errorf("ckpt: file digest mismatch (%#016x != %#016x): truncated or corrupt", got, want)
 	}
-	r := NewReader(body[len(Magic):])
-	c := &Checkpoint{Version: r.U32()}
+	r := newReader(body[len(Magic):])
+	c := &Checkpoint{Version: r.u32()}
 	if c.Version != Version {
 		return nil, fmt.Errorf("ckpt: format version %d, this binary reads version %d", c.Version, Version)
 	}
-	c.Cycle = r.I64()
-	c.ConfigFP = r.U64()
-	c.SpecFP = r.U64()
-	n := int(r.U32())
+	c.Cycle = int64(r.u64())
+	c.ConfigFP = r.u64()
+	c.SpecFP = r.u64()
+	n := int(r.u32())
 	for i := 0; i < n; i++ {
-		name := r.String()
-		data := append([]byte(nil), r.Bytes()...)
-		digest := r.U64()
+		name := string(r.bytes())
+		data := append([]byte(nil), r.bytes()...)
+		digest := r.u64()
 		if r.err != nil {
 			break
 		}
@@ -346,8 +321,8 @@ func Decode(b []byte) (*Checkpoint, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after %d sections", r.Remaining(), n)
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("ckpt: %d trailing bytes after %d sections", r.remaining(), n)
 	}
 	return c, nil
 }

@@ -33,61 +33,44 @@ func sampleCheckpoint() *Checkpoint {
 func TestWriterReaderRoundTrip(t *testing.T) {
 	w := NewWriter()
 	w.U64(42)
-	w.I64(-7)
 	w.U32(9)
-	w.Int(13)
-	w.Bool(true)
-	w.Bool(false)
-	w.F64(3.5)
 	w.Bytes([]byte{1, 2, 3})
 	w.String("hello")
 
-	r := NewReader(w.Data())
-	if got := r.U64(); got != 42 {
-		t.Errorf("U64 = %d", got)
+	r := newReader(w.Data())
+	if got := r.u64(); got != 42 {
+		t.Errorf("u64 = %d", got)
 	}
-	if got := r.I64(); got != -7 {
-		t.Errorf("I64 = %d", got)
+	if got := r.u32(); got != 9 {
+		t.Errorf("u32 = %d", got)
 	}
-	if got := r.U32(); got != 9 {
-		t.Errorf("U32 = %d", got)
+	if got := r.bytes(); len(got) != 3 || got[0] != 1 {
+		t.Errorf("bytes = %v", got)
 	}
-	if got := r.Int(); got != 13 {
-		t.Errorf("Int = %d", got)
+	if got := string(r.bytes()); got != "hello" {
+		t.Errorf("string = %q", got)
 	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if got := r.F64(); got != 3.5 {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := r.Bytes(); len(got) != 3 || got[0] != 1 {
-		t.Errorf("Bytes = %v", got)
-	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("%d bytes left over", r.Remaining())
+	if r.remaining() != 0 {
+		t.Errorf("%d bytes left over", r.remaining())
 	}
 }
 
 func TestReaderStickyError(t *testing.T) {
-	r := NewReader([]byte{1, 2}) // too short for any field
-	if got := r.U64(); got != 0 {
-		t.Errorf("U64 on short buffer = %d, want 0", got)
+	r := newReader([]byte{1, 2}) // too short for any field
+	if got := r.u64(); got != 0 {
+		t.Errorf("u64 on short buffer = %d, want 0", got)
 	}
-	if r.Err() == nil {
+	if r.err == nil {
 		t.Fatal("short read must set the error")
 	}
 	// Every subsequent read stays zero-valued and the error sticks.
-	if r.Int() != 0 || r.Bool() || r.Bytes() != nil {
+	if r.u32() != 0 || r.bytes() != nil {
 		t.Error("reads after error must return zero values")
 	}
-	if r.Err() == nil {
+	if r.err == nil {
 		t.Error("error must be sticky")
 	}
 }

@@ -1,0 +1,44 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
+
+// FuzzDecode feeds arbitrary bytes to Decode. Decode must never panic,
+// and any input it accepts must be canonical: re-encoding the decoded
+// checkpoint reproduces the input byte for byte. Random bytes almost
+// never carry a matching file digest, so each input is also decoded
+// with its trailing digest restamped; that reaches the header and
+// section parser behind the digest gate.
+func FuzzDecode(f *testing.F) {
+	good := sampleCheckpoint().Encode()
+	f.Add(good)
+	for _, cut := range []int{0, len(Magic), len(Magic) + 8, len(good) / 2, len(good) - 8, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	for _, at := range []int{0, len(Magic), len(Magic) + 4, len(good) / 2, len(good) - 1} {
+		flipped := append([]byte(nil), good...)
+		flipped[at] ^= 0x01
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkCanonical(t, b)
+		if len(b) >= 8 {
+			body := b[:len(b)-8]
+			checkCanonical(t, binary.LittleEndian.AppendUint64(append([]byte(nil), body...), Digest(body)))
+		}
+	})
+}
+
+func checkCanonical(t *testing.T, b []byte) {
+	t.Helper()
+	c, err := Decode(b)
+	if err != nil {
+		return
+	}
+	if got := c.Encode(); !bytes.Equal(got, b) {
+		t.Fatalf("accepted input does not re-encode identically:\n in  %x\n out %x", b, got)
+	}
+}

@@ -138,9 +138,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // instrument pointers. Single-threaded, like the simulation.
 type Registry struct {
 	counters map[string]*Counter
-	//simlint:ckptskip gauge closures read component state that restores separately; SaveState records readings for the digest only
-	gauges map[string]func() int64
-	hists  map[string]*Histogram
+	gauges   map[string]func() int64
+	hists    map[string]*Histogram
 }
 
 // NewRegistry builds an empty registry.

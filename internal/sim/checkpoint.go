@@ -4,10 +4,11 @@
 // structural summary of its closure-bound state), and restore replays
 // a fresh simulator to the checkpoint cycle — deterministic execution
 // makes the replay bit-identical — then verifies each component's
-// re-serialized state byte-for-byte against the checkpoint before
-// installing the installable parts. Every restore therefore doubles as
-// a determinism audit: any nondeterminism between the writing run and
-// the replay surfaces as a DivergenceError naming the component.
+// re-serialized state byte-for-byte against the checkpoint. Nothing is
+// installed: a replay that passes the compare already holds the
+// checkpointed state. Every restore therefore doubles as a determinism
+// audit: any nondeterminism between the writing run and the replay
+// surfaces as a DivergenceError naming the component.
 package sim
 
 import (
@@ -75,21 +76,6 @@ func (c *simCore) SaveState(w *ckpt.Writer) {
 	for _, word := range c.active {
 		w.U64(word)
 	}
-}
-
-// RestoreState reads the SaveState stream back and installs it.
-func (c *simCore) RestoreState(r *ckpt.Reader) error {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(c.active) {
-		return fmt.Errorf("sim: %d active-set words, checkpoint has %d", len(c.active), n)
-	}
-	for i := range c.active {
-		c.active[i] = r.U64()
-	}
-	return r.Err()
 }
 
 // FingerprintConfig returns the checkpoint config fingerprint of cfg —
@@ -277,12 +263,11 @@ func (s *Simulator) RestoreFile(path string) error {
 }
 
 // Restore brings a freshly built simulator to the checkpoint's state:
-// replay to the checkpoint cycle, verify every component's
-// re-serialized state byte-for-byte against its section, then install
-// the installable state. The simulator must be configured exactly as
-// the checkpointing run was (same config, spec, chaos plan, tracer)
-// and must not have run yet; call Run afterwards to continue to
-// completion.
+// replay to the checkpoint cycle, then verify every component's
+// re-serialized state byte-for-byte against its section. The simulator
+// must be configured exactly as the checkpointing run was (same config,
+// spec, chaos plan, tracer) and must not have run yet; call Run
+// afterwards to continue to completion.
 func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 	if s.started {
 		return fmt.Errorf("sim: restore must precede Run")
@@ -312,7 +297,6 @@ func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 		return fmt.Errorf("sim: replay stopped at cycle %d, checkpoint is at %d", got, ck.Cycle)
 	}
 
-	savers := s.saverList()
 	fresh := s.Capture()
 	if len(fresh.Sections) != len(ck.Sections) {
 		return fmt.Errorf("sim: simulator has %d components, checkpoint has %d (chaos/local wiring must match)",
@@ -328,21 +312,8 @@ func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 		}
 	}
 
-	for _, ns := range savers {
-		sec := ck.Section(ns.name)
-		r := ckpt.NewReader(sec.Data)
-		if err := ns.saver.RestoreState(r); err != nil {
-			return fmt.Errorf("sim: restore %s: %w", ns.name, err)
-		}
-		s.nonces[ns.name] = r.U64()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("sim: restore %s: %w", ns.name, err)
-		}
-		if rem := r.Remaining(); rem != 0 {
-			return fmt.Errorf("sim: restore %s: %d trailing bytes", ns.name, rem)
-		}
-	}
-
+	// The replay writes no checkpoints, so nextCkpt has not advanced;
+	// re-arm it past the checkpoint cycle.
 	if s.CheckpointEvery > 0 {
 		s.nextCkpt = (ck.Cycle/s.CheckpointEvery + 1) * s.CheckpointEvery
 	}

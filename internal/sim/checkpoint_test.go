@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -392,6 +393,11 @@ func TestCheckpointPropertyRandom(t *testing.T) {
 		s2.AttachChaos(newPlan())
 		if err := s2.Restore(ck); err != nil {
 			t.Fatalf("case %d (scheme=%v chaos=%v at=%d): %v", i, sch, useChaos, at, err)
+		}
+		// Restore installs nothing, so the replayed state must already
+		// encode to the checkpoint itself.
+		if !bytes.Equal(s2.Capture().Encode(), ck.Encode()) {
+			t.Fatalf("case %d (scheme=%v chaos=%v at=%d): restored state does not re-encode to the checkpoint", i, sch, useChaos, at)
 		}
 		r2, err := s2.Run()
 		if err != nil {

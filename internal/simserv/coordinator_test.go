@@ -2,8 +2,10 @@ package simserv
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,6 +188,55 @@ func TestTenantQuota(t *testing.T) {
 	stats, _ := h.cl.Stats()
 	if stats.RejectedQuota != 1 {
 		t.Fatalf("stats = %+v", stats)
+	}
+}
+
+// fill is an endless reader of one byte value, so a test can stream an
+// oversize body without holding it in memory.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+func TestOversizeBodyRejected413(t *testing.T) {
+	h := newHarness(t, nil)
+	// A well-formed prefix whose id string runs past the body bound:
+	// the decoder only fails on the limit, never on syntax.
+	body := io.MultiReader(
+		strings.NewReader(`{"id":"`),
+		io.LimitReader(fill('a'), maxBodyBytes),
+		strings.NewReader(`","spec":{"benchmark":"sgemm","scale":1}}`),
+	)
+	resp, err := http.Post(h.srv.URL+"/v1/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submit: status %d, want 413", resp.StatusCode)
+	}
+	// Malformed bodies under the bound stay 400.
+	resp, err = http.Post(h.srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"id":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated submit: status %d, want 400", resp.StatusCode)
+	}
+	if got := h.submit(t, SubmitRequest{Spec: specSgemm}); got.State != "queued" {
+		t.Fatalf("normal submit after rejection = %+v", got)
+	}
+	stats, err := h.cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Depth != 1 {
+		t.Fatalf("queue depth %d, want only the normal submit", stats.Depth)
 	}
 }
 

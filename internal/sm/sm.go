@@ -272,6 +272,13 @@ func New(id int, cfg *config.Config, q *clock.Queue, l1 *cache.Cache, l1tlb *tlb
 // Stats returns a copy of the counters.
 func (s *SM) Stats() Stats { return s.stats }
 
+// Progress sums the counters that only grow with forward progress:
+// committed instructions, context bytes moved and blocks switched back
+// in. The watchdog reads it every cycle, so it avoids copying Stats.
+func (s *SM) Progress() int64 {
+	return s.stats.Committed + s.stats.ContextBytes + s.stats.SwitchesIn
+}
+
 // SetChaos installs the fault-injection hook; nil removes it.
 func (s *SM) SetChaos(c Chaos) { s.chaos = c }
 

@@ -83,7 +83,7 @@ type TLB struct {
 	cfg     Config
 	sets    int
 	entries [][]tlbEntry
-	//simlint:ckptskip construction-time geometry derived from cfg; restore cross-checks sets and ways
+	//simlint:ckptskip construction-time page size, fixed for the life of the TLB and pinned by the config fingerprint
 	pageSize uint64
 	//simlint:ckptskip wiring to the shared event queue, rebuilt by the harness before restore
 	q *clock.Queue
