@@ -46,7 +46,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-SM statistics")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (.bin for the compact binary format); view in Perfetto")
+		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file; view in Perfetto")
 		traceFlt  = flag.String("trace-filter", "", "comma-separated event kinds or groups to record (all, pipeline, stall, fault, replay, switch, migrate, local); empty records everything")
 		metricsFn = flag.String("metrics", "", "write the metrics registry snapshot to this file (.csv for CSV, otherwise JSON)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "write a checkpoint into -checkpoint-dir every N cycles (0 = off)")
@@ -475,18 +475,13 @@ func runDigestProbe(cfg gpues.Config, spec gpues.LaunchSpec, at int64, chaosLvl 
 	return json.NewEncoder(os.Stdout).Encode(probe)
 }
 
-// writeTraceFile exports the tracer: Chrome trace_event JSON, or the
-// compact binary format when the path ends in .bin.
+// writeTraceFile exports the tracer as Chrome trace_event JSON.
 func writeTraceFile(tr *gpues.Tracer, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".bin") {
-		err = tr.WriteBinary(f)
-	} else {
-		err = tr.WriteChrome(f)
-	}
+	err = tr.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -4,7 +4,7 @@
 // structurally summarized for the digest) — or carry an explicit
 // //simlint:ckptskip <reason> exemption on its declaration.
 //
-// Restore verifies a replay by byte-comparing each component's
+// Restore verifies a replay by comparing a digest of each component's
 // SaveState output against the checkpoint, so a field SaveState skips
 // is a field restore never checks: a replay that diverged only there
 // would pass. This analyzer keeps that compare complete by failing CI

@@ -1,20 +1,21 @@
 // Package ckpt implements the versioned, deterministic whole-simulator
-// checkpoint format. A checkpoint captures the state of every
-// registered component at one cycle boundary as a named, digested
-// section; the file carries a format version, fingerprints of the
-// configuration and launch spec it belongs to, and a trailing
-// whole-file digest so a checkpoint truncated by a crash (kill -9
-// mid-write) is detected rather than restored.
+// checkpoint format. A checkpoint records the state of every registered
+// component at one cycle boundary as one named 64-bit digest; the file
+// carries a format version, fingerprints of the configuration and
+// launch spec it belongs to, and a trailing whole-file digest so a
+// checkpoint truncated by a crash (kill -9 mid-write) is detected
+// rather than restored.
 //
-// Components implement Saver: SaveState appends the component's state
-// to a Writer as a flat sequence of typed fields. Nothing reads those
-// fields back: restore replays a fresh simulator to the checkpoint
-// cycle and byte-compares its sections against the checkpoint's.
-// Serialization must be deterministic — in particular, map-keyed state
-// must be written in sorted key order (the simlint determinism analyzer
-// covers this package). Section digests double as the per-component
-// state fingerprints that cmd/simbisect compares when binary-searching
-// for the first cycle two runs diverge.
+// Components implement Saver: SaveState feeds the component's state to
+// a Writer as a flat sequence of typed fields, and the Writer folds
+// them into an FNV-1a digest as they arrive; no state bytes are ever
+// buffered. Nothing needs them: restore replays a fresh simulator to
+// the checkpoint cycle and compares its component digests against the
+// checkpoint's. Serialization must be deterministic — in particular,
+// map-keyed state must be written in sorted key order (the simlint
+// determinism analyzer covers this package). The same digests are the
+// per-component state fingerprints that cmd/simbisect compares when
+// binary-searching for the first cycle two runs diverge.
 //
 // See docs/checkpointing.md for the format layout, the determinism
 // contract and the restore (replay-and-verify) model.
@@ -32,15 +33,16 @@ import (
 	"gpues/internal/atomicio"
 )
 
-// Magic identifies a checkpoint file; the trailing digit is the layout
-// generation and only changes when the envelope itself (not section
-// payloads) becomes incompatible.
+// Magic identifies a checkpoint file. The layout that follows it is
+// selected by the version field, which sits at a fixed offset in every
+// generation.
 const Magic = "GPUCKPT1"
 
 // Version is the current checkpoint format version. Bump it whenever
-// any component's SaveState layout changes: restore refuses checkpoints
-// written by a different version instead of misparsing them.
-const Version uint32 = 1
+// the envelope or any component's SaveState field sequence changes:
+// restore refuses checkpoints written by a different version instead of
+// reporting a spurious divergence.
+const Version uint32 = 2
 
 // fnv64a is the FNV-1a digest used for section, file and streaming
 // state digests. It is not cryptographic; it only needs to make state
@@ -52,48 +54,16 @@ const (
 
 // Digest returns the FNV-1a hash of b.
 func Digest(b []byte) uint64 {
-	h := fnvOffset
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+	w := NewWriter()
+	w.Raw(b)
+	return w.Sum()
 }
-
-// Hasher is a streaming FNV-1a digest for components that fingerprint
-// large state (page tables, functional memory) instead of serializing
-// it byte for byte.
-type Hasher struct{ h uint64 }
-
-// NewHasher returns a Hasher at the FNV-1a offset basis.
-func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
-
-// U64 folds v into the digest.
-func (s *Hasher) U64(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.h ^= uint64(byte(v >> (8 * i)))
-		s.h *= fnvPrime
-	}
-}
-
-// Bytes folds b into the digest.
-func (s *Hasher) Bytes(b []byte) {
-	h := s.h
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	s.h = h
-}
-
-// Sum returns the current digest value.
-func (s *Hasher) Sum() uint64 { return s.h }
 
 // Saver is the common interface every stateful simulator component
-// implements to participate in checkpointing. SaveState appends the
+// implements to participate in checkpointing. SaveState feeds the
 // component's state to w. Restore never decodes it: the replayed
-// simulator's own SaveState output is byte-compared against the
-// checkpoint section, so the bytes only have to capture every field.
+// simulator's own digest is compared against the checkpoint's, so the
+// fields only have to cover every piece of state.
 //
 // State that cannot be serialized (scheduled event closures, pooled
 // objects in flight) is represented structurally — counts and sorted
@@ -103,56 +73,79 @@ type Saver interface {
 	SaveState(w *Writer)
 }
 
-// Writer accumulates one component's serialized state as a flat byte
-// stream of typed, little-endian fields.
-type Writer struct{ buf []byte }
+// Writer is a streaming FNV-1a digest of typed fields. Each method
+// folds in exactly the little-endian bytes the field would occupy in a
+// flat serialization, so Sum equals Digest of that serialization.
+type Writer struct{ h uint64 }
 
-// NewWriter returns an empty writer.
-func NewWriter() *Writer { return &Writer{} }
+// NewWriter returns a writer at the FNV-1a offset basis.
+func NewWriter() *Writer { return &Writer{h: fnvOffset} }
 
-// Reset clears the writer for reuse.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+// NewHasher is NewWriter, under the name the fingerprinting helpers
+// (page tables, functional memory, stream keys, benchmark cells) use.
+func NewHasher() *Writer { return NewWriter() }
 
-// Len returns the number of bytes written.
-func (w *Writer) Len() int { return len(w.buf) }
+// Sum returns the digest of everything written so far.
+func (w *Writer) Sum() uint64 { return w.h }
 
-// Data returns the accumulated bytes (not a copy).
-func (w *Writer) Data() []byte { return w.buf }
+// le folds in the n low-order bytes of v, least significant first.
+func (w *Writer) le(v uint64, n int) {
+	h := w.h
+	for i := 0; i < n; i++ {
+		h = (h ^ (v>>(8*i))&0xff) * fnvPrime
+	}
+	w.h = h
+}
 
-// U64 appends v.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// U64 folds in v.
+func (w *Writer) U64(v uint64) { w.le(v, 8) }
 
-// I64 appends v.
+// I64 folds in v.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// U32 appends v.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+// U32 folds in v.
+func (w *Writer) U32(v uint32) { w.le(uint64(v), 4) }
 
-// Int appends v as an int64.
+// Int folds in v as an int64.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
-// Bool appends b as one byte.
+// Bool folds in b as one byte.
 func (w *Writer) Bool(b bool) {
-	var v byte
+	var v uint64
 	if b {
 		v = 1
 	}
-	w.buf = append(w.buf, v)
+	w.le(v, 1)
 }
 
-// F64 appends the IEEE-754 bits of f.
+// F64 folds in the IEEE-754 bits of f.
 func (w *Writer) F64(f float64) { w.U64(math.Float64bits(f)) }
 
-// Bytes appends b length-prefixed.
+// Bytes folds in b length-prefixed.
 func (w *Writer) Bytes(b []byte) {
 	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+	w.Raw(b)
 }
 
-// String appends s length-prefixed.
+// String folds in s length-prefixed.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	h := w.h
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	w.h = h
+}
+
+// Raw folds in b with no length prefix. The functional memory digest
+// and the spec fingerprint fold chunks and names this way; switching
+// them to Bytes would change every stored fingerprint.
+func (w *Writer) Raw(b []byte) {
+	h := w.h
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	w.h = h
 }
 
 // reader consumes the checkpoint envelope Encode writes. Errors are
@@ -217,17 +210,8 @@ func (r *reader) bytes() []byte {
 	return r.take(int(n))
 }
 
-// Section is one component's serialized state within a checkpoint.
-type Section struct {
-	Name string
-	Data []byte
-}
-
-// Digest returns the section's state digest.
-func (s *Section) Digest() uint64 { return Digest(s.Data) }
-
-// SectionDigest names one component's state digest; simbisect compares
-// slices of these across two runs.
+// SectionDigest is one component's state digest within a checkpoint;
+// simbisect compares slices of these across two runs.
 type SectionDigest struct {
 	Name   string
 	Digest uint64
@@ -235,60 +219,39 @@ type SectionDigest struct {
 
 // Checkpoint is one decoded (or to-be-encoded) checkpoint: the cycle it
 // was taken at, the fingerprints of the configuration and launch spec
-// that produced it, and one section per registered component.
+// that produced it, and one digest per registered component.
 type Checkpoint struct {
 	Version  uint32
 	Cycle    int64
 	ConfigFP uint64
 	SpecFP   uint64
-	Sections []Section
-}
-
-// Section returns the named section, or nil.
-func (c *Checkpoint) Section(name string) *Section {
-	for i := range c.Sections {
-		if c.Sections[i].Name == name {
-			return &c.Sections[i]
-		}
-	}
-	return nil
-}
-
-// Digests returns the per-section digests in section order.
-func (c *Checkpoint) Digests() []SectionDigest {
-	out := make([]SectionDigest, len(c.Sections))
-	for i := range c.Sections {
-		out[i] = SectionDigest{Name: c.Sections[i].Name, Digest: c.Sections[i].Digest()}
-	}
-	return out
+	Sections []SectionDigest
 }
 
 // Encode serializes the checkpoint:
 //
 //	magic[8] version:u32 cycle:i64 configFP:u64 specFP:u64 nSections:u32
-//	( name:str data:bytes digest:u64 )*
+//	( name:str digest:u64 )*
 //	fileDigest:u64   — FNV-1a over every preceding byte
 func (c *Checkpoint) Encode() []byte {
-	w := NewWriter()
-	w.buf = append(w.buf, Magic...)
-	w.U32(c.Version)
-	w.I64(c.Cycle)
-	w.U64(c.ConfigFP)
-	w.U64(c.SpecFP)
-	w.U32(uint32(len(c.Sections)))
-	for i := range c.Sections {
-		s := &c.Sections[i]
-		w.String(s.Name)
-		w.Bytes(s.Data)
-		w.U64(s.Digest())
+	le := binary.LittleEndian
+	b := append([]byte(nil), Magic...)
+	b = le.AppendUint32(b, c.Version)
+	b = le.AppendUint64(b, uint64(c.Cycle))
+	b = le.AppendUint64(b, c.ConfigFP)
+	b = le.AppendUint64(b, c.SpecFP)
+	b = le.AppendUint32(b, uint32(len(c.Sections)))
+	for _, s := range c.Sections {
+		b = le.AppendUint64(b, uint64(len(s.Name)))
+		b = append(b, s.Name...)
+		b = le.AppendUint64(b, s.Digest)
 	}
-	w.U64(Digest(w.buf))
-	return w.buf
+	return le.AppendUint64(b, Digest(b))
 }
 
 // Decode parses and fully validates an encoded checkpoint: magic,
-// version, every section digest and the trailing file digest. A file
-// cut short by a crash fails here instead of restoring garbage.
+// trailing file digest, version and section list. A file cut short by
+// a crash fails here instead of restoring garbage.
 func Decode(b []byte) (*Checkpoint, error) {
 	if len(b) < len(Magic)+8 || string(b[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("ckpt: not a checkpoint file (bad magic)")
@@ -306,17 +269,9 @@ func Decode(b []byte) (*Checkpoint, error) {
 	c.ConfigFP = r.u64()
 	c.SpecFP = r.u64()
 	n := int(r.u32())
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		name := string(r.bytes())
-		data := append([]byte(nil), r.bytes()...)
-		digest := r.u64()
-		if r.err != nil {
-			break
-		}
-		if got := Digest(data); got != digest {
-			return nil, fmt.Errorf("ckpt: section %q digest mismatch (%#016x != %#016x)", name, got, digest)
-		}
-		c.Sections = append(c.Sections, Section{Name: name, Data: data})
+		c.Sections = append(c.Sections, SectionDigest{Name: name, Digest: r.u64()})
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -1,60 +1,67 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 func sampleCheckpoint() *Checkpoint {
-	w := NewWriter()
-	w.U64(42)
-	w.I64(-7)
-	w.Int(13)
-	w.Bool(true)
-	w.F64(3.5)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	data := append([]byte(nil), w.Data()...)
 	return &Checkpoint{
 		Version:  Version,
 		Cycle:    12345,
 		ConfigFP: 0xdead,
 		SpecFP:   0xbeef,
-		Sections: []Section{
-			{Name: "alpha", Data: data},
-			{Name: "beta", Data: []byte("state")},
-			{Name: "empty", Data: nil},
+		Sections: []SectionDigest{
+			{Name: "alpha", Digest: 0x0123456789abcdef},
+			{Name: "beta", Digest: Digest([]byte("state"))},
+			{Name: "", Digest: 0},
 		},
 	}
 }
 
-func TestWriterReaderRoundTrip(t *testing.T) {
+// TestWriterSumMatchesDigest pins the Writer's streaming digest to the
+// flat little-endian serialization each typed method stands for, so a
+// checkpoint digest is the digest of well-defined bytes.
+func TestWriterSumMatchesDigest(t *testing.T) {
+	le := binary.LittleEndian
+	cases := []struct {
+		name  string
+		write func(*Writer)
+		flat  []byte
+	}{
+		{"U64", func(w *Writer) { w.U64(0x0102030405060708) }, le.AppendUint64(nil, 0x0102030405060708)},
+		{"I64", func(w *Writer) { w.I64(-7) }, le.AppendUint64(nil, ^uint64(6))},
+		{"U32", func(w *Writer) { w.U32(0xa0b0c0d0) }, le.AppendUint32(nil, 0xa0b0c0d0)},
+		{"Int", func(w *Writer) { w.Int(-13) }, le.AppendUint64(nil, ^uint64(12))},
+		{"Bool true", func(w *Writer) { w.Bool(true) }, []byte{1}},
+		{"Bool false", func(w *Writer) { w.Bool(false) }, []byte{0}},
+		{"F64", func(w *Writer) { w.F64(3.5) }, le.AppendUint64(nil, math.Float64bits(3.5))},
+		{"Bytes", func(w *Writer) { w.Bytes([]byte{1, 2, 3}) }, append(le.AppendUint64(nil, 3), 1, 2, 3)},
+		{"String", func(w *Writer) { w.String("hello") }, append(le.AppendUint64(nil, 5), "hello"...)},
+		{"Raw", func(w *Writer) { w.Raw([]byte{1, 2, 3}) }, []byte{1, 2, 3}},
+		{"empty", func(*Writer) {}, nil},
+	}
+	var all []byte
+	for _, c := range cases {
+		w := NewWriter()
+		c.write(w)
+		if got, want := w.Sum(), Digest(c.flat); got != want {
+			t.Errorf("%s: Sum %#016x, Digest of % x is %#016x", c.name, got, c.flat, want)
+		}
+		all = append(all, c.flat...)
+	}
+	// Fields fold in sequence: one writer fed every case digests the
+	// concatenation.
 	w := NewWriter()
-	w.U64(42)
-	w.U32(9)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-
-	r := newReader(w.Data())
-	if got := r.u64(); got != 42 {
-		t.Errorf("u64 = %d", got)
+	for _, c := range cases {
+		c.write(w)
 	}
-	if got := r.u32(); got != 9 {
-		t.Errorf("u32 = %d", got)
-	}
-	if got := r.bytes(); len(got) != 3 || got[0] != 1 {
-		t.Errorf("bytes = %v", got)
-	}
-	if got := string(r.bytes()); got != "hello" {
-		t.Errorf("string = %q", got)
-	}
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.remaining() != 0 {
-		t.Errorf("%d bytes left over", r.remaining())
+	if got, want := w.Sum(), Digest(all); got != want {
+		t.Errorf("sequence: Sum %#016x, Digest %#016x", got, want)
 	}
 }
 
@@ -88,18 +95,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("%d sections, want %d", len(got.Sections), len(c.Sections))
 	}
 	for i := range c.Sections {
-		if got.Sections[i].Name != c.Sections[i].Name {
-			t.Errorf("section %d name %q, want %q", i, got.Sections[i].Name, c.Sections[i].Name)
+		if got.Sections[i] != c.Sections[i] {
+			t.Errorf("section %d = %+v, want %+v", i, got.Sections[i], c.Sections[i])
 		}
-		if string(got.Sections[i].Data) != string(c.Sections[i].Data) {
-			t.Errorf("section %q data mismatch", c.Sections[i].Name)
-		}
-	}
-	if s := got.Section("beta"); s == nil || string(s.Data) != "state" {
-		t.Error("Section lookup failed")
-	}
-	if got.Section("nope") != nil {
-		t.Error("unknown section must return nil")
 	}
 }
 
@@ -115,7 +113,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	b := sampleCheckpoint().Encode()
-	// Flip a byte in the middle (section payload): the file digest
+	// Flip a byte in the middle (a section entry): the file digest
 	// catches it.
 	mut := append([]byte(nil), b...)
 	mut[len(mut)/2] ^= 0xff
@@ -200,7 +198,7 @@ func TestLatestEmptyDir(t *testing.T) {
 func TestHasherMatchesDigest(t *testing.T) {
 	b := []byte("some state bytes")
 	h := NewHasher()
-	h.Bytes(b)
+	h.Raw(b)
 	if h.Sum() != Digest(b) {
 		t.Error("streaming hasher disagrees with one-shot digest")
 	}

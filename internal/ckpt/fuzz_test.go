@@ -23,6 +23,18 @@ func FuzzDecode(f *testing.F) {
 		flipped[at] ^= 0x01
 		f.Add(flipped)
 	}
+	// v2 envelope edges: no sections, a section count the file cannot
+	// hold, and a name length running past the end. Each body gets a
+	// valid file digest so the fuzz body's restamp is a no-op.
+	f.Add((&Checkpoint{Version: Version}).Encode())
+	header := good[:len(Magic)+4+8+8+8]
+	for _, tail := range [][]byte{
+		binary.LittleEndian.AppendUint32(nil, 0xffffffff),
+		binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1), 1<<40),
+	} {
+		body := append(append([]byte(nil), header...), tail...)
+		f.Add(binary.LittleEndian.AppendUint64(body, Digest(body)))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkCanonical(t, b)
 		if len(b) >= 8 {

@@ -26,7 +26,7 @@ func (m *Memory) digest() uint64 {
 	h := ckpt.NewHasher()
 	for _, k := range keys {
 		h.U64(k)
-		h.Bytes(m.chunks[k])
+		h.Raw(m.chunks[k])
 	}
 	return h.Sum()
 }

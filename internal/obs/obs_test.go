@@ -194,33 +194,6 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tr, cycle := boundTracer(0, 64)
-	*cycle = 42
-	tr.Emit(0, KFaultRaised, 5, 0x1000, 1)
-	tr.Emit(-1, KMigrateStart, 0, 0x40000, 3)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.Events()
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := ReadBinary(bytes.NewReader([]byte("BADMAGIC"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 func TestChromeExportValid(t *testing.T) {
 	tr, cycle := boundTracer(0, 64)
 	*cycle = 10

@@ -1,10 +1,10 @@
 // Checkpoint/restore for the full simulator. The clock queue stores
 // scheduled closures, which cannot be serialized; a checkpoint instead
-// captures the cycle plus every component's architectural state (and a
-// structural summary of its closure-bound state), and restore replays
-// a fresh simulator to the checkpoint cycle — deterministic execution
-// makes the replay bit-identical — then verifies each component's
-// re-serialized state byte-for-byte against the checkpoint. Nothing is
+// captures the cycle plus a digest of every component's architectural
+// state (and of a structural summary of its closure-bound state), and
+// restore replays a fresh simulator to the checkpoint cycle —
+// deterministic execution makes the replay bit-identical — then
+// compares each component's digest against the checkpoint. Nothing is
 // installed: a replay that passes the compare already holds the
 // checkpointed state. Every restore therefore doubles as a determinism
 // audit: any nondeterminism between the writing run and the replay
@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,7 +99,7 @@ func FingerprintConfig(cfg config.Config) uint64 {
 func FingerprintSpec(spec LaunchSpec) uint64 {
 	h := ckpt.NewHasher()
 	l, k := spec.Launch, spec.Launch.Kernel
-	h.Bytes([]byte(k.Name))
+	h.Raw([]byte(k.Name))
 	h.U64(uint64(len(k.Code)))
 	for i := range k.Code {
 		in := &k.Code[i]
@@ -130,14 +129,12 @@ func FingerprintSpec(spec LaunchSpec) uint64 {
 	h.U64(l.HeapBase)
 	h.U64(l.HeapBytes)
 	for _, r := range spec.Regions {
-		h.Bytes([]byte(r.Name))
+		h.Raw([]byte(r.Name))
 		h.U64(r.Base)
 		h.U64(r.Size)
 		h.U64(uint64(r.Kind))
 	}
-	w := ckpt.NewWriter()
-	spec.Memory.SaveState(w)
-	h.Bytes(w.Data())
+	spec.Memory.SaveState(h)
 	return h.Sum()
 }
 
@@ -153,7 +150,7 @@ func boolBit(b bool) uint64 {
 // simulation service's result cache is built on.
 func (s *Simulator) Fingerprints() (cfgFP, specFP uint64) { return s.cfgFP, s.specFP }
 
-// Capture serializes the complete current state into a checkpoint.
+// Capture digests the complete current state into a checkpoint.
 // Valid only at a cycle boundary (the main loop's top); callers inside
 // the loop are maybeWriteCheckpoint and stallError, callers outside
 // must go through StepTo.
@@ -173,14 +170,11 @@ func (s *Simulator) Capture() *ckpt.Checkpoint {
 		ConfigFP: s.cfgFP,
 		SpecFP:   s.specFP,
 	}
-	w := ckpt.NewWriter()
 	for _, ns := range s.saverList() {
-		w.Reset()
+		w := ckpt.NewWriter()
 		ns.saver.SaveState(w)
 		w.U64(s.nonces[ns.name])
-		data := make([]byte, len(w.Data()))
-		copy(data, w.Data())
-		ck.Sections = append(ck.Sections, ckpt.Section{Name: ns.name, Data: data})
+		ck.Sections = append(ck.Sections, ckpt.SectionDigest{Name: ns.name, Digest: w.Sum()})
 	}
 	return ck
 }
@@ -188,7 +182,7 @@ func (s *Simulator) Capture() *ckpt.Checkpoint {
 // ComponentDigests returns the per-component state digests at the
 // current cycle boundary — the bisection probe primitive.
 func (s *Simulator) ComponentDigests() []ckpt.SectionDigest {
-	return s.Capture().Digests()
+	return s.Capture().Sections
 }
 
 // WriteCheckpoint captures the current state and writes it into dir
@@ -239,7 +233,7 @@ func ResolveCheckpoint(pathOrDir string) (string, error) {
 }
 
 // DivergenceError reports that a component's replayed state does not
-// match its checkpoint section — either real nondeterminism between
+// match its checkpoint digest — either real nondeterminism between
 // the checkpointing run and the restoring one, or a configuration
 // drift the fingerprints could not catch.
 type DivergenceError struct {
@@ -263,11 +257,11 @@ func (s *Simulator) RestoreFile(path string) error {
 }
 
 // Restore brings a freshly built simulator to the checkpoint's state:
-// replay to the checkpoint cycle, then verify every component's
-// re-serialized state byte-for-byte against its section. The simulator
-// must be configured exactly as the checkpointing run was (same config,
-// spec, chaos plan, tracer) and must not have run yet; call Run
-// afterwards to continue to completion.
+// replay to the checkpoint cycle, then compare every component's state
+// digest against its section. The simulator must be configured exactly
+// as the checkpointing run was (same config, spec, chaos plan, tracer)
+// and must not have run yet; call Run afterwards to continue to
+// completion.
 func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 	if s.started {
 		return fmt.Errorf("sim: restore must precede Run")
@@ -302,12 +296,12 @@ func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 		return fmt.Errorf("sim: simulator has %d components, checkpoint has %d (chaos/local wiring must match)",
 			len(fresh.Sections), len(ck.Sections))
 	}
-	for _, sec := range fresh.Sections {
-		want := ck.Section(sec.Name)
-		if want == nil {
-			return fmt.Errorf("sim: checkpoint has no section %q", sec.Name)
+	for i, sec := range fresh.Sections {
+		want := ck.Sections[i]
+		if want.Name != sec.Name {
+			return fmt.Errorf("sim: checkpoint section %d is %q, simulator's is %q", i, want.Name, sec.Name)
 		}
-		if !bytes.Equal(sec.Data, want.Data) {
+		if want.Digest != sec.Digest {
 			return &DivergenceError{Component: sec.Name, Cycle: ck.Cycle}
 		}
 	}
@@ -322,10 +316,11 @@ func (s *Simulator) Restore(ck *ckpt.Checkpoint) error {
 
 // InjectDivergence registers an artificial single-component state
 // perturbation at the given cycle: the component's divergence nonce is
-// bumped when the main loop reaches that cycle. The nonce rides in the
-// component's checkpoint section, so digests (and bisection) see a
-// divergence from exactly that cycle on, while timing and results are
-// untouched — the mechanism that lets bisection be tested end to end.
+// bumped when the main loop reaches that cycle. The nonce is folded
+// into the component's checkpoint digest, so digests (and bisection)
+// see a divergence from exactly that cycle on, while timing and results
+// are untouched — the mechanism that lets bisection be tested end to
+// end.
 func (s *Simulator) InjectDivergence(cycle int64, component string) error {
 	if cycle < 0 {
 		return fmt.Errorf("sim: divergence cycle %d out of range", cycle)

@@ -194,9 +194,9 @@ func TestPreemptibleRequiresPreemptibleScheme(t *testing.T) {
 
 // TestExceptionCheckpointRestore checkpoints through the window between
 // the exception post and the host's poll boundary, restores the latest
-// checkpoint into a fresh simulator (the restore's byte-compare is the
-// digest audit), and requires the resumed run to terminate with the
-// identical exception.
+// checkpoint into a fresh simulator (the restore's digest compare is
+// the determinism audit), and requires the resumed run to terminate
+// with the identical exception.
 func TestExceptionCheckpointRestore(t *testing.T) {
 	cfg := config.Default()
 	dir := t.TempDir()

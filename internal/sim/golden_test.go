@@ -107,3 +107,28 @@ func TestGoldenCells(t *testing.T) {
 	}
 	check(cases[1].name+"/chaos-level3", cases[1], excep.ModePrecise, 3)
 }
+
+// TestCheckpointSize pins the checkpoint to its header plus one 8-byte
+// digest per component: a mid-run checkpoint of the Fig12 golden shape
+// (16 SMs, 62 components) encodes to about 1.5 KB, where the
+// components' serialized state would take hundreds of kilobytes.
+func TestCheckpointSize(t *testing.T) {
+	pc := parCases()[1]
+	s, err := sim.New(caseConfig(pc, excep.ModePrecise), buildSpec(t, pc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if reached, err := s.StepTo(100_000); err != nil || !reached {
+		t.Fatalf("StepTo(100000): reached=%v err=%v", reached, err)
+	}
+	ck := s.Capture()
+	if n := len(ck.Sections); n != 62 {
+		t.Errorf("%s: %d sections, want 62", pc.name, n)
+	}
+	if n := len(ck.Encode()); n > 4<<10 {
+		t.Errorf("%s: encoded checkpoint is %d bytes, want at most 4 KiB", pc.name, n)
+	}
+}

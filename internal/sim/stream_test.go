@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -118,7 +117,7 @@ func runPlain(t *testing.T, cfg config.Config, spec LaunchSpec) (*Result, *emu.M
 
 // TestStreamCheckpointsMatchPlain pins the checkpoint contract: a run
 // fed by a shared stream that has already emulated the whole grid
-// captures byte-identical sections to a plain run at the same cycle —
+// captures digest-identical sections to a plain run at the same cycle —
 // emu.memory included, which the fed run materializes at the dispatch
 // cursor — and each checkpoint restores onto the other kind of run.
 func TestStreamCheckpointsMatchPlain(t *testing.T) {
@@ -153,7 +152,7 @@ func TestStreamCheckpointsMatchPlain(t *testing.T) {
 					t.Fatalf("cycle %d: %d sections vs %d", at, len(plain.Sections), len(fed.Sections))
 				}
 				for i, sec := range plain.Sections {
-					if got := fed.Sections[i]; got.Name != sec.Name || !bytes.Equal(got.Data, sec.Data) {
+					if fed.Sections[i] != sec {
 						t.Fatalf("cycle %d: section %q differs between plain and stream-fed runs", at, sec.Name)
 					}
 				}

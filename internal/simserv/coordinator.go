@@ -332,9 +332,11 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // maxBodyBytes bounds every request body the coordinator decodes. The
-// largest bodies carry a base64-encoded checkpoint handback; checkpoints
-// average about 0.55 MB on the fabric benchmark, so 64 MiB leaves ~100×
-// headroom while keeping one request from exhausting coordinator memory.
+// largest real bodies are a completion carrying the worker's metrics
+// summary and a failure carrying a rendered stall report, both well
+// under a megabyte; a preempted job's checkpoint travels as a spool
+// path, not as bytes. 64 MiB leaves generous headroom while keeping
+// one request from exhausting coordinator memory.
 const maxBodyBytes = 64 << 20
 
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {

@@ -401,7 +401,7 @@ func TestDrainPreemptsAndRejects(t *testing.T) {
 
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- h.coord.Drain(5 * time.Second) }()
-	waitUntil(t, func() bool { return h.coord.Draining() })
+	waitUntil(t, 5*time.Second, func() bool { return h.coord.Draining() })
 
 	// Draining: no new work in, no new claims out.
 	_, err := h.cl.Submit(SubmitRequest{ID: "late", Spec: specSgemm})
@@ -508,12 +508,12 @@ func TestFabricMetricsPublishedToSink(t *testing.T) {
 	}
 }
 
-func waitUntil(t *testing.T, cond func() bool) {
+func waitUntil(t *testing.T, limit time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(limit)
 	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 5s")
+			t.Fatalf("condition not reached in %v", limit)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -522,7 +522,8 @@ func waitUntil(t *testing.T, cond func() bool) {
 // TestWorkerEndToEnd runs the real worker against the real coordinator
 // with real simulations: the job's reported cycle count must equal a
 // direct sequential sim.RunSpec of the same spec — the fabric adds
-// scheduling, not noise.
+// scheduling, not noise. The wait scales with the reference run's wall
+// time, so a slow host or a -race build stretches both alike.
 func TestWorkerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -531,10 +532,12 @@ func TestWorkerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	ref, err := sim.RunSpec(cfg, lspec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	limit := max(5*time.Second, 10*time.Since(start))
 
 	h := newHarness(t, func(o *Options) { o.Now = nil }) // real clock: the worker renews on wall time
 	w := &Worker{
@@ -549,7 +552,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	go w.Run(ctx) //nolint:errcheck // returns nil on cancel
 
 	resp := h.submit(t, SubmitRequest{Spec: specSgemm})
-	waitUntil(t, func() bool {
+	waitUntil(t, limit, func() bool {
 		st, err := h.cl.Job(resp.ID)
 		return err == nil && st.State == "done"
 	})
