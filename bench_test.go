@@ -10,10 +10,13 @@
 package gpues_test
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"gpues"
 	"gpues/internal/emu"
+	"gpues/internal/experiments"
 	"gpues/internal/workloads"
 )
 
@@ -94,6 +97,37 @@ func BenchmarkFig10(b *testing.B) {
 			b.ReportMetric(float64(cycles), "sim-cycles")
 		})
 	}
+}
+
+// BenchmarkFig10Campaign runs the whole Figure 10 campaign (all 44
+// fault-free cells) through experiments.Fig10 at 2-way parallelism,
+// the way cmd/experiments does: jobs that build the same image share
+// one emulated trace stream, so unlike BenchmarkFig10 this profiles
+// the shared-stream timing path. sim-cycles is the campaign total.
+//
+//	go test -run '^$' -bench Fig10Campaign -benchtime 1x -cpuprofile cpu.out
+func BenchmarkFig10Campaign(b *testing.B) {
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		cycles = 0
+		_, err := experiments.Fig10(experiments.Options{
+			Scale:       1,
+			Parallelism: 2,
+			// One line per finished run: "<bench> <scheme> <cycles> cycles".
+			// Progress calls are serialized, so the sum needs no lock.
+			Progress: func(line string) {
+				if f := strings.Fields(line); len(f) >= 3 {
+					if n, err := strconv.ParseInt(f[2], 10, 64); err == nil {
+						cycles += n
+					}
+				}
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
 // BenchmarkFig11 regenerates the Figure 11 operand log size sweep on

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -57,15 +58,15 @@ type Emulator struct {
 	// Blocks are emulated one at a time, so one set of execution
 	// scratch state serves every block: warp contexts (their 64 KB
 	// register files are the dominant per-block allocation), their
-	// trace buffers and the shared-memory buffer are reused, and
-	// coalesced line addresses are carved out of a chunked arena
-	// instead of one slice per instruction. A finished block's warp
-	// traces are copied into one slab of exactly the block's length,
-	// so a retained trace holds no spare capacity; the slab and the
-	// arena chunks escape into the returned BlockTrace.
+	// trace buffers, the shared-memory buffer and the line buffer that
+	// collects every coalesced line address of the block are reused. A
+	// finished block's warp traces are copied into one slab, and its
+	// lines into another, each of exactly the block's length, so a
+	// retained trace holds no spare capacity and no pointers; only the
+	// two slabs escape into the returned BlockTrace.
 	ctxs      []*warpCtx
 	sharedBuf []byte
-	arena     []uint64
+	lines     []uint64
 
 	// flip is the armed bit-flip injector (zero = off); flips counts
 	// the flips applied so far across all blocks.
@@ -74,9 +75,6 @@ type Emulator struct {
 	// heap backs OpMalloc when the launch declares a device heap.
 	heap *gpualloc.Allocator
 }
-
-// arenaChunk is the allocation granule for coalesced line addresses.
-const arenaChunk = 8192
 
 // New returns an Emulator for the launch. lineSize is the cache line
 // size used by the coalescing unit (128 B in the baseline).
@@ -170,6 +168,7 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		e.ctxs = append(e.ctxs, &warpCtx{regs: make([][isa.MaxRegs]uint64, 32)})
 	}
 	warps := e.ctxs[:numWarps]
+	e.lines = e.lines[:0]
 	for w := 0; w < numWarps; w++ {
 		lanes := 32
 		if rem := threads - w*32; rem < 32 {
@@ -245,7 +244,10 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		total += len(ctx.trace)
 	}
 	slab := make([]TraceInst, total)
-	bt := &BlockTrace{BlockID: blockID, Warps: make([]WarpTrace, numWarps)}
+	lines := make([]uint64, len(e.lines))
+	copy(lines, e.lines)
+	code := e.launch.Kernel.Code
+	bt := &BlockTrace{BlockID: blockID, Warps: make([]WarpTrace, numWarps), Code: code, Lines: lines}
 	for w, ctx := range warps {
 		tr := slab[:len(ctx.trace):len(ctx.trace)]
 		slab = slab[len(tr):]
@@ -253,10 +255,9 @@ func (e *Emulator) EmulateBlock(blockID int) (*BlockTrace, error) {
 		bt.Warps[w] = WarpTrace{WarpID: w, Insts: tr, Excep: ctx.excep}
 		bt.DynInsts += len(tr)
 		for i := range tr {
-			ti := &tr[i]
-			if ti.Static.IsGlobalMem() {
+			if code[tr[i].PC].IsGlobalMem() {
 				bt.GlobalAccesses++
-				bt.MemRequests += len(ti.Lines)
+				bt.MemRequests += int(tr[i].NLines)
 			}
 		}
 	}
@@ -310,7 +311,7 @@ func (e *Emulator) runWarp(w *warpCtx, blockID int, shared []byte) error {
 			execMask = e.injectFlips(w, in, active, execMask, blockID)
 		}
 
-		ti := TraceInst{PC: top.pc, Static: in, Mask: execMask}
+		ti := TraceInst{PC: top.pc, Mask: execMask}
 
 		switch in.Op {
 		case isa.OpBra:
@@ -717,27 +718,6 @@ func (e *Emulator) sreg(w *warpCtx, lane int, s isa.SReg, blockID int) uint64 {
 	return 0
 }
 
-// coalesceArena coalesces the per-lane accesses into line addresses
-// backed by the emulator's arena: the worst-case entry count is
-// reserved up front so the append inside coalesce never reallocates,
-// and the arena advances past the entries actually produced. Retired
-// chunks stay referenced by the traces that point into them and are
-// collected when those traces are dropped.
-func (e *Emulator) coalesceArena(addrs *[32]uint64, mask uint32, size int) []uint64 {
-	span := int(uint64(size-1)/e.lineSize) + 2
-	need := 32 * span
-	if cap(e.arena)-len(e.arena) < need {
-		n := arenaChunk
-		if need > n {
-			n = need
-		}
-		e.arena = make([]uint64, 0, n)
-	}
-	dst := coalesce(e.arena[len(e.arena):len(e.arena)], addrs, mask, size, e.lineSize)
-	e.arena = e.arena[:len(e.arena)+len(dst)]
-	return dst
-}
-
 func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID int, shared []byte, ti *TraceInst) error {
 	size := int(in.Size)
 	var addrs [32]uint64
@@ -775,26 +755,25 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 	case isa.OpLdShared, isa.OpStShared:
 		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
+			// Compared as off > len-size so an offset near 2^64 cannot
+			// wrap past the check.
 			off := addrs[lane]
-			if off+uint64(size) > uint64(len(shared)) {
+			if len(shared) < size || off > uint64(len(shared)-size) {
 				return fmt.Errorf("shared access at %d beyond %d B partition", off, len(shared))
 			}
-			if in.Op == isa.OpLdShared {
-				var v uint64
-				for i := 0; i < size; i++ {
-					v |= uint64(shared[off+uint64(i)]) << (8 * i)
-				}
-				e.writeReg(w, lane, in.Dst, v)
-			} else {
-				v := e.readReg(w, lane, in.SrcB)
-				for i := 0; i < size; i++ {
-					shared[off+uint64(i)] = byte(v >> (8 * i))
-				}
+			word := shared[off : off+uint64(size)]
+			switch {
+			case in.Op == isa.OpLdShared && size == 8:
+				e.writeReg(w, lane, in.Dst, binary.LittleEndian.Uint64(word))
+			case in.Op == isa.OpLdShared:
+				e.writeReg(w, lane, in.Dst, uint64(binary.LittleEndian.Uint32(word)))
+			case size == 8:
+				binary.LittleEndian.PutUint64(word, e.readReg(w, lane, in.SrcB))
+			default:
+				binary.LittleEndian.PutUint32(word, uint32(e.readReg(w, lane, in.SrcB)))
 			}
 		}
-		if mask != 0 {
-			ti.Lines = e.coalesceArena(&addrs, mask, size)
-		}
+		e.coalesceInto(ti, &addrs, mask, size)
 		return nil
 
 	case isa.OpLdGlobal:
@@ -845,8 +824,14 @@ func (e *Emulator) execMem(w *warpCtx, in *isa.Instruction, mask uint32, blockID
 	default:
 		return fmt.Errorf("execMem: %v is not a memory op", in.Op)
 	}
-	if mask != 0 {
-		ti.Lines = e.coalesceArena(&addrs, mask, size)
-	}
+	e.coalesceInto(ti, &addrs, mask, size)
 	return nil
+}
+
+// coalesceInto appends the instruction's coalesced lines to the block's
+// line buffer and points ti at them.
+func (e *Emulator) coalesceInto(ti *TraceInst, addrs *[32]uint64, mask uint32, size int) {
+	off := len(e.lines)
+	e.lines = coalesce(e.lines, off, addrs, mask, size, e.lineSize)
+	ti.LineOff, ti.NLines = uint32(off), uint32(len(e.lines)-off)
 }

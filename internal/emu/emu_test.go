@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"strings"
 	"testing"
 
 	"gpues/internal/isa"
@@ -91,8 +92,8 @@ func TestCoalescingUnitStride(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ti := range bt.Warps[0].Insts {
-		if ti.Static.IsGlobalMem() && len(ti.Lines) != 2 {
-			t.Errorf("unit-stride 8B access coalesced to %d requests, want 2: %v", len(ti.Lines), ti.String())
+		if bt.Code[ti.PC].IsGlobalMem() && ti.NLines != 2 {
+			t.Errorf("unit-stride 8B access at pc %d coalesced to %d requests, want 2", ti.PC, ti.NLines)
 		}
 	}
 	if bt.MemRequests != 6 {
@@ -105,7 +106,7 @@ func TestCoalesceScattered(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		addrs[lane] = uint64(lane) * 4096 // one page apart: no sharing
 	}
-	lines := coalesce(nil, &addrs, ^uint32(0), 4, 128)
+	lines := coalesce(nil, 0, &addrs, ^uint32(0), 4, 128)
 	if len(lines) != 32 {
 		t.Errorf("scattered access = %d requests, want 32", len(lines))
 	}
@@ -113,7 +114,7 @@ func TestCoalesceScattered(t *testing.T) {
 	for lane := range addrs {
 		addrs[lane] = 64
 	}
-	lines = coalesce(nil, &addrs, ^uint32(0), 4, 128)
+	lines = coalesce(nil, 0, &addrs, ^uint32(0), 4, 128)
 	if len(lines) != 1 || lines[0] != 0 {
 		t.Errorf("same-line access = %v, want [0]", lines)
 	}
@@ -122,7 +123,7 @@ func TestCoalesceScattered(t *testing.T) {
 func TestCoalesceStraddle(t *testing.T) {
 	var addrs [32]uint64
 	addrs[0] = 124 // 8-byte access crossing the 128 B boundary
-	lines := coalesce(nil, &addrs, 1, 8, 128)
+	lines := coalesce(nil, 0, &addrs, 1, 8, 128)
 	if len(lines) != 2 || lines[0] != 0 || lines[1] != 128 {
 		t.Errorf("straddling access = %v, want [0 128]", lines)
 	}
@@ -184,7 +185,7 @@ func TestDivergenceReconvergence(t *testing.T) {
 	// The post-reconvergence store must execute once with a full mask.
 	fullMaskStores := 0
 	for _, ti := range bt.Warps[0].Insts {
-		if ti.Static.Op == isa.OpStGlobal && ti.Mask == ^uint32(0) {
+		if bt.Code[ti.PC].Op == isa.OpStGlobal && ti.Mask == ^uint32(0) {
 			fullMaskStores++
 		}
 	}
@@ -367,7 +368,7 @@ func TestPartialWarp(t *testing.T) {
 	}
 	// The partial warp's stores carry only 8 active lanes.
 	for _, ti := range bt.Warps[1].Insts {
-		if ti.Static.Op == isa.OpStGlobal && ti.Mask != 0xff {
+		if bt.Code[ti.PC].Op == isa.OpStGlobal && ti.Mask != 0xff {
 			t.Errorf("partial warp store mask = %#x, want 0xff", ti.Mask)
 		}
 	}
@@ -447,6 +448,60 @@ func TestSharedMemoryBounds(t *testing.T) {
 	e, _ := New(l, mem, 128)
 	if _, err := e.EmulateBlock(0); err == nil {
 		t.Fatal("out-of-bounds shared access must error")
+	}
+}
+
+// TestSharedMemoryOffsetWrap: an offset within the access size of
+// 2^64 must fail the partition bounds check, not wrap past it and
+// index out of range.
+func TestSharedMemoryOffsetWrap(t *testing.T) {
+	for _, store := range []bool{false, true} {
+		b := kernel.NewBuilder("wrap").SetSharedMem(64)
+		off, v := b.Reg(), b.Reg()
+		b.MovI(off, -4)
+		if store {
+			b.StShared(off, 0, v, 4)
+		} else {
+			b.LdShared(v, off, 0, 4)
+		}
+		b.Exit()
+		l := &kernel.Launch{Kernel: b.MustBuild(), Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}}
+		e, _ := New(l, NewMemory(), 128)
+		_, err := e.EmulateBlock(0)
+		if err == nil || !strings.Contains(err.Error(), "beyond 64 B partition") {
+			t.Errorf("store=%v: err = %v, want a beyond-partition error", store, err)
+		}
+	}
+}
+
+// TestSharedMemoryWordAccess: shared loads and stores are little-endian
+// words; a 4-byte store keeps the low half of the register and a
+// 4-byte load zero-extends.
+func TestSharedMemoryWordAccess(t *testing.T) {
+	b := kernel.NewBuilder("words").SetSharedMem(64)
+	zero, v, w8, w4, hi, out := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.MovI(zero, 0)
+	b.MovI(v, -0x123456789abcdf0) // 0xfedcba9876543210
+	b.StShared(zero, 0, v, 8)
+	b.StShared(zero, 8, v, 4)
+	b.LdShared(w8, zero, 0, 8)
+	b.LdShared(w4, zero, 8, 4)
+	b.LdShared(hi, zero, 4, 4)
+	b.MovI(out, 0x40000)
+	b.StGlobal(out, 0, w8, 8)
+	b.StGlobal(out, 8, w4, 8)
+	b.StGlobal(out, 16, hi, 8)
+	b.Exit()
+	mem := NewMemory()
+	l := &kernel.Launch{Kernel: b.MustBuild(), Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 1}}
+	e, _ := New(l, mem, 128)
+	if _, err := e.EmulateBlock(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint64{0xfedcba9876543210, 0x76543210, 0xfedcba98} {
+		if got := mem.ReadU64(0x40000 + uint64(8*i)); got != want {
+			t.Errorf("word %d = %#x, want %#x", i, got, want)
+		}
 	}
 }
 

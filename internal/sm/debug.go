@@ -111,9 +111,9 @@ func snapshotWarp(w *warpRT) WarpSnapshot {
 		ReplayQueue:       len(w.replay),
 		Buffered:          w.buf != nil,
 		FetchBlock:        w.fetchBlock.String(),
-		InFlight:          w.inFlight,
+		InFlight:          int(w.inFlight),
 		AtBarrier:         w.atBarrier,
-		FaultsOutstanding: w.faultsOutstanding,
+		FaultsOutstanding: int(w.faultsOutstanding),
 	}
 }
 
@@ -209,7 +209,7 @@ func (s *SM) CheckInvariants(now, maxMSHRAge int64) []string {
 			if w.faultsOutstanding < 0 {
 				bad("block %d warp %d has negative outstanding faults %d", b.id, w.idx, w.faultsOutstanding)
 			}
-			faults += w.faultsOutstanding
+			faults += int(w.faultsOutstanding)
 			if w.atBarrier && w.inFlight < 1 {
 				bad("block %d warp %d parked at barrier with no in-flight instruction", b.id, w.idx)
 			}

@@ -15,7 +15,7 @@ import (
 // request finishes translation is the instruction's "last TLB check"
 // (Figure 5) — the earliest point it is known not to fault.
 func (s *SM) startMem(f *flight) {
-	lines := f.ti.Lines
+	lines := f.w.lines[f.ti.LineOff : f.ti.LineOff+f.ti.NLines]
 	if len(lines) == 0 {
 		// All lanes predicated off: nothing to access.
 		s.q.After(1, f.commitFn)
@@ -139,7 +139,7 @@ func (s *SM) access(f *flight, r *memReq) {
 	if f.squashed {
 		return
 	}
-	write := f.ti.Static.Op == isa.OpStGlobal || f.ti.Static.Op == isa.OpAtomGlobal
+	write := f.in.Op == isa.OpStGlobal || f.in.Op == isa.OpAtomGlobal
 	ok := s.l1.Access(r.line, write, f.accFns[r.idx])
 	if !ok {
 		s.l1.OnFree(f.accRetry[r.idx])
@@ -235,7 +235,7 @@ func (s *SM) squashAndRaise(f *flight) {
 		if w.fetchOwner == buf {
 			s.clearFetchBlock(w)
 		}
-		w.buf = nil
+		w.buf, w.bufIn = nil, nil
 		s.clrBuf(s.warpIndex(w))
 		// The flushed flight never issued, so nothing was scheduled
 		// against it; it can go straight back to the pool.
@@ -257,7 +257,7 @@ func (s *SM) squashAndRaise(f *flight) {
 	if len(pages) > 0 && w.faultsOutstanding == 0 {
 		w.faultWaitStart = s.q.Now()
 	}
-	w.faultsOutstanding += len(pages)
+	w.faultsOutstanding += int32(len(pages))
 	b := w.block
 	b.pendingFaults += len(pages)
 	maxPos := 0

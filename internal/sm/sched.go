@@ -66,7 +66,7 @@ func (s *SM) afterDrainStep(b *blockRT) {
 		return
 	}
 	for _, w := range b.warps {
-		want := 0
+		want := int32(0)
 		if w.atBarrier {
 			want = 1
 		}

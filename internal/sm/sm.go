@@ -244,13 +244,14 @@ func (s *SM) trace(k obs.Kind, w *warpRT, tIdx int32) {
 	s.tr.Emit(s.ID, k, s.warpID(w), uint64(tIdx), uint64(w.block.id))
 }
 
-// stall counts one issue-stage stall occurrence and traces it.
-func (s *SM) stall(w *warpRT, f *flight, r obs.StallReason) {
+// stall counts one issue-stage stall occurrence of w's buffered
+// instruction and traces it.
+func (s *SM) stall(w *warpRT, r obs.StallReason) {
 	s.stats.Stalls[r]++
 	if s.tr == nil {
 		return
 	}
-	s.tr.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(f.tIdx))
+	s.tr.Emit(s.ID, obs.KStall, s.warpID(w), uint64(r), uint64(w.buf.tIdx))
 }
 
 // New builds an SM bound to its L1 cache, L1 TLB and the system-level
@@ -357,6 +358,8 @@ func (s *SM) activateBlock(slot int, bt *emu.BlockTrace) {
 			block: b,
 			idx:   i,
 			trace: bt.Warps[i].Insts,
+			code:  bt.Code,
+			lines: bt.Lines,
 			excep: bt.Warps[i].Excep,
 		}
 		if len(w.trace) == 0 {
@@ -441,7 +444,7 @@ func (s *SM) newFlight(w *warpRT, ti *emu.TraceInst, tIdx int32, isReplay bool) 
 		s.flightPool = f.poolNext
 		f.poolNext = nil
 	}
-	f.w, f.ti, f.tIdx, f.isReplay = w, ti, tIdx, isReplay
+	f.w, f.ti, f.in, f.tIdx, f.isReplay = w, ti, &w.code[ti.PC], tIdx, isReplay
 	f.srcHeld = f.srcHeld[:0]
 	f.reqs = f.reqs[:0]
 	f.tlbRem, f.reqRem = 0, 0
@@ -464,7 +467,7 @@ func (s *SM) freeFlight(f *flight) {
 	if f.squashed {
 		return
 	}
-	f.w, f.ti = nil, nil
+	f.w, f.ti, f.in = nil, nil, nil
 	f.poolNext = s.flightPool
 	s.flightPool = f
 }
@@ -510,6 +513,10 @@ func (s *SM) Tick() {
 // instruction cache).
 const fetchWidth = 2
 
+// doFetch fills up to fetchWidth empty instruction buffers, scanning
+// warps round-robin from the one after the last to fetch.
+//
+//simlint:noalloc
 func (s *SM) doFetch() bool {
 	if len(s.warps) == 0 {
 		return false
@@ -522,7 +529,7 @@ func (s *SM) doFetch() bool {
 	}
 	for i := 0; i < n && budget > 0; i, pos = i+1, wrapNext(pos, n) {
 		w := s.warps[pos]
-		if w == nil || w.done || w.buf != nil || w.fetchBlock != fetchOK ||
+		if w == nil || w.done || w.bufIn != nil || w.fetchBlock != fetchOK ||
 			w.atBarrier || w.faultsOutstanding > 0 || w.block.state != blockActive {
 			continue
 		}
@@ -538,14 +545,14 @@ func (s *SM) doFetch() bool {
 		} else {
 			w.cursor++
 		}
-		w.buf = f
+		w.buf, w.bufIn, w.bufReplay = f, f.in, isReplay
 		s.setBuf(pos)
 		w.bufReady = s.q.Now() + 1
-		if ti.Static.IsControl() {
+		if f.in.IsControl() {
 			w.fetchBlock = fetchControl
 			w.fetchOwner = f
 			w.fetchBlockStart = s.q.Now()
-		} else if ti.Static.IsGlobalMem() &&
+		} else if f.in.IsGlobalMem() &&
 			(s.cfg.Scheme == config.WarpDisableCommit || s.cfg.Scheme == config.WarpDisableLastCheck) {
 			w.fetchBlock = fetchWarpDisable
 			w.fetchOwner = f
@@ -580,6 +587,14 @@ func (s *SM) clrBuf(i int) { s.bufMask[i>>6] &^= 1 << (uint(i) & 63) }
 // warpIndex returns a resident warp's slot in s.warps.
 func (s *SM) warpIndex(w *warpRT) int { return w.block.slot*s.warpsPerBlock + w.idx }
 
+// doIssue issues up to IssueWidth buffered instructions from up to
+// IssueWarps warps, scanning the set bits of bufMask round-robin. The
+// port and scoreboard checks of a fresh instruction read only the
+// warp's first cache line, its pendRead counts and the buffered static
+// instruction (bufIn): the flight itself is loaded only to issue, or
+// for a replay.
+//
+//simlint:noalloc
 func (s *SM) doIssue() bool {
 	if len(s.warps) == 0 {
 		return false
@@ -642,40 +657,41 @@ issueLoop:
 		pos = wIdx<<6 | bits.TrailingZeros64(cur)
 		cur &= cur - 1
 		w := s.warps[pos]
-		if w == nil || w.done || w.buf == nil || w.bufReady > s.q.Now() ||
+		if w == nil || w.done || w.bufIn == nil || w.bufReady > s.q.Now() ||
 			w.block.state != blockActive || w.faultsOutstanding > 0 {
 			continue
 		}
-		f := w.buf
-		unit := f.ti.Static.ExecUnit()
+		in := w.bufIn
+		unit := in.ExecUnit()
 		if unitBudget[unit] <= 0 {
-			s.stall(w, f, obs.StallPort)
+			s.stall(w, obs.StallPort)
 			continue
 		}
-		if s.chaos != nil && f.global() && s.chaos.StallIssue(s.ID, f.isReplay) {
+		if s.chaos != nil && in.IsGlobalMem() && s.chaos.StallIssue(s.ID, w.bufReplay) {
 			// The stall counts as activity so the SM retries next cycle
 			// instead of sleeping for an event that may never come.
 			s.stats.IssueStallChaos++
-			s.stall(w, f, obs.StallChaos)
+			s.stall(w, obs.StallChaos)
 			issuedAny = true
 			continue
 		}
-		if f.isReplay {
+		if w.bufReplay {
 			var heldOwn []isa.Reg
 			if s.cfg.Scheme == config.ReplayQueue {
-				heldOwn = w.heldSrcs[f.tIdx]
+				heldOwn = w.heldSrcs[w.buf.tIdx]
 			}
 			checkSources := s.cfg.Scheme != config.ReplayQueue && s.cfg.Scheme != config.OperandLog
-			if !w.canIssueReplay(f, heldOwn, checkSources) {
+			if !w.canIssueReplay(in, heldOwn, checkSources) {
 				s.stats.IssueStallScore++
-				s.stall(w, f, obs.StallScoreboard)
+				s.stall(w, obs.StallScoreboard)
 				continue
 			}
-		} else if !w.canIssue(f) {
+		} else if !w.canIssue(in) {
 			s.stats.IssueStallScore++
-			s.stall(w, f, obs.StallScoreboard)
+			s.stall(w, obs.StallScoreboard)
 			continue
 		}
+		f := w.buf
 		// Operand log capacity: loads/atomics hold one entry, stores
 		// two (address and data); allocation happens at issue
 		// (Section 3.3). Entries of squashed instructions stay held
@@ -683,11 +699,11 @@ issueLoop:
 		// instruction does not allocate again.
 		logNeed := 0
 		if s.cfg.Scheme == config.OperandLog && f.global() {
-			logNeed = logEntriesFor(f.ti.Static)
+			logNeed = logEntriesFor(in)
 			if !f.isReplay {
 				if w.block.logUsed+logNeed > s.logPerBlock {
 					s.stats.IssueStallLog++
-					s.stall(w, f, obs.StallLogFull)
+					s.stall(w, obs.StallLogFull)
 					continue
 				}
 				w.block.logUsed += logNeed
@@ -700,8 +716,8 @@ issueLoop:
 		// the fault; under the operand-log scheme it reads from the log
 		// and takes no source holds at all.
 		if f.isReplay {
-			if f.ti.Static.Writes() {
-				w.setWritePending(f.ti.Static.Dst)
+			if in.Writes() {
+				w.setWritePending(in.Dst)
 			}
 			switch s.cfg.Scheme {
 			case config.ReplayQueue:
@@ -716,7 +732,7 @@ issueLoop:
 			w.acquire(f)
 		}
 		w.inFlight++
-		w.buf = nil
+		w.buf, w.bufIn = nil, nil
 		s.clrBuf(pos)
 		s.stats.Issued++
 		s.event("issue", w, f.tIdx)
@@ -747,7 +763,7 @@ func (s *SM) opRead(f *flight) {
 	if !(s.cfg.Scheme == config.ReplayQueue && f.global()) {
 		w.releaseSources(f)
 	}
-	in := f.ti.Static
+	in := f.in
 	switch {
 	case in.Op == isa.OpBar:
 		s.arriveBarrier(f)

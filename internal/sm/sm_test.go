@@ -214,16 +214,27 @@ func figure3Trace() (*emu.BlockTrace, *kernel.Launch, []isa.Instruction) {
 
 	full := ^uint32(0)
 	insts := []emu.TraceInst{
-		{PC: 0, Static: &code[0], Mask: full, Lines: []uint64{0x10000}},
-		{PC: 1, Static: &code[1], Mask: full},
-		{PC: 2, Static: &code[2], Mask: full, Lines: []uint64{0x20000}},
-		{PC: 3, Static: &code[3], Mask: full},
-		{PC: 4, Static: &code[4], Mask: full},
+		{PC: 0, Mask: full, LineOff: 0, NLines: 1},
+		{PC: 1, Mask: full},
+		{PC: 2, Mask: full, LineOff: 1, NLines: 1},
+		{PC: 3, Mask: full},
+		{PC: 4, Mask: full},
 	}
-	bt := &emu.BlockTrace{BlockID: 0, Warps: []emu.WarpTrace{{WarpID: 0, Insts: insts}}}
+	bt := &emu.BlockTrace{
+		BlockID: 0,
+		Warps:   []emu.WarpTrace{{WarpID: 0, Insts: insts}},
+		Code:    code,
+		Lines:   []uint64{0x10000, 0x20000},
+	}
 	k := &kernel.Kernel{Name: "fig3", Code: code, RegsPerThread: 16}
 	launch := &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 32}}
 	return bt, launch, code
+}
+
+// setLoadLines points figure3Trace's loads A and C at new lines.
+func setLoadLines(bt *emu.BlockTrace, a, c uint64) {
+	bt.Lines[bt.Warps[0].Insts[iA].LineOff] = a
+	bt.Lines[bt.Warps[0].Insts[iC].LineOff] = c
 }
 
 const (
@@ -422,7 +433,7 @@ func TestWarpDisableSingleInFlight(t *testing.T) {
 	bt, launch, _ := figure3Trace()
 	h := newHarness(t, config.WarpDisableCommit, []*emu.BlockTrace{bt}, launch)
 	h.fault[0x10000] = vm.FaultMigrate // A's page
-	var inFlightAtSquash int
+	var inFlightAtSquash int32
 	h.sm.OnEvent = func(kind string, warp int, tIdx int32, cycle int64) {
 		if kind == "squash" {
 			// The squash event fires while the faulting instruction
@@ -476,8 +487,7 @@ func TestBlockSwitchingLifecycle(t *testing.T) {
 	bt2, _, _ := figure3Trace()
 	bt2.BlockID = 1
 	// Block 2's loads hit different, non-faulting pages.
-	bt2.Warps[0].Insts[0].Lines = []uint64{0x50000}
-	bt2.Warps[0].Insts[2].Lines = []uint64{0x60000}
+	setLoadLines(bt2, 0x50000, 0x60000)
 	launch.Grid = kernel.Dim3{X: 2}
 
 	// Occupancy 1 (one resident block) so the second block only runs

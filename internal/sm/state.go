@@ -95,10 +95,10 @@ func saveWarp(w *ckpt.Writer, wr *warpRT) {
 		w.U64(p)
 	}
 	w.Bytes(wr.pendRead[:])
-	w.Int(wr.inFlight)
+	w.Int(int(wr.inFlight))
 	w.Bool(wr.atBarrier)
 	w.Bool(wr.barFlight != nil)
-	w.Int(wr.faultsOutstanding)
+	w.Int(int(wr.faultsOutstanding))
 	w.Bool(wr.done)
 	w.Bool(wr.excep != nil)
 	w.Bool(wr.excepDone)

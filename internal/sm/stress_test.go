@@ -18,9 +18,10 @@ import (
 // invariants — every instruction commits exactly once, every squash is
 // replayed, and the scoreboards are clean at the end.
 
-// randTrace builds a random trace of n instructions for one warp, plus
-// its backing static code. Page addresses come from the given pool.
-func randTrace(rng *rand.Rand, n int, pages []uint64, code *[]isa.Instruction) []emu.TraceInst {
+// randTrace builds a random trace of n instructions for one warp,
+// appending its static code to code and its line addresses to lines.
+// Page addresses come from the given pool.
+func randTrace(rng *rand.Rand, n int, pages []uint64, code *[]isa.Instruction, lines *[]uint64) []emu.TraceInst {
 	full := ^uint32(0)
 	var insts []emu.TraceInst
 	for i := 0; i < n; i++ {
@@ -49,19 +50,20 @@ func randTrace(rng *rand.Rand, n int, pages []uint64, code *[]isa.Instruction) [
 			in.SrcC = isa.Reg(rng.Intn(24))
 		}
 		*code = append(*code, in)
-		ti := emu.TraceInst{PC: int32(len(*code) - 1), Static: &(*code)[len(*code)-1], Mask: full}
+		ti := emu.TraceInst{PC: int32(len(*code) - 1), Mask: full, LineOff: uint32(len(*lines))}
 		if in.IsGlobalMem() {
 			nl := 1 + rng.Intn(3)
 			for j := 0; j < nl; j++ {
 				page := pages[rng.Intn(len(pages))]
-				ti.Lines = append(ti.Lines, page+uint64(rng.Intn(32))*128)
+				*lines = append(*lines, page+uint64(rng.Intn(32))*128)
 			}
+			ti.NLines = uint32(nl)
 		}
 		insts = append(insts, ti)
 	}
 	ex := isa.NewInstruction(isa.OpExit)
 	*code = append(*code, ex)
-	insts = append(insts, emu.TraceInst{PC: int32(len(*code) - 1), Static: &(*code)[len(*code)-1], Mask: full})
+	insts = append(insts, emu.TraceInst{PC: int32(len(*code) - 1), Mask: full})
 	return insts
 }
 
@@ -74,7 +76,7 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	}
 
 	var code []isa.Instruction
-	code = make([]isa.Instruction, 0, 4096) // stable backing array for Static pointers
+	var lines []uint64
 
 	const (
 		warps  = 4
@@ -85,11 +87,14 @@ func stressOnce(t *testing.T, seed int64, scheme config.Scheme, inject bool) {
 	for b := 0; b < blocks; b++ {
 		bt := &emu.BlockTrace{BlockID: b}
 		for w := 0; w < warps; w++ {
-			insts := randTrace(rng, 20+rng.Intn(40), pages, &code)
+			insts := randTrace(rng, 20+rng.Intn(40), pages, &code, &lines)
 			total += len(insts)
 			bt.Warps = append(bt.Warps, emu.WarpTrace{WarpID: w, Insts: insts})
 		}
 		traces = append(traces, bt)
+	}
+	for _, bt := range traces {
+		bt.Code, bt.Lines = code, lines
 	}
 
 	k := &kernel.Kernel{Name: "stress", Code: code, RegsPerThread: 48}
@@ -189,11 +194,12 @@ func TestStressSchemesAgreeOnWork(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		pages := []uint64{0x100000, 0x101000}
 		var code []isa.Instruction
-		code = make([]isa.Instruction, 0, 1024)
+		var lines []uint64
 		bt := &emu.BlockTrace{BlockID: 0}
 		for w := 0; w < 2; w++ {
-			bt.Warps = append(bt.Warps, emu.WarpTrace{WarpID: w, Insts: randTrace(rng, 30, pages, &code)})
+			bt.Warps = append(bt.Warps, emu.WarpTrace{WarpID: w, Insts: randTrace(rng, 30, pages, &code, &lines)})
 		}
+		bt.Code, bt.Lines = code, lines
 		k := &kernel.Kernel{Name: "agree", Code: code, RegsPerThread: 48}
 		launch := &kernel.Launch{Kernel: k, Grid: kernel.Dim3{X: 1}, Block: kernel.Dim3{X: 64}}
 		h := newHarness(t, scheme, []*emu.BlockTrace{bt}, launch)

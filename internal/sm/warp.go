@@ -35,12 +35,45 @@ const (
 )
 
 // warpRT is the runtime state of one resident warp slot.
+//
+// The fields doFetch and doIssue read for every warp every cycle come
+// first and fill exactly one 64-byte cache line (pinned by
+// TestWarpHotFieldsFitOneLine), so the per-cycle scan of a stalled or
+// idle warp touches that line of it, its block's state and at most the
+// buffered static instruction.
 type warpRT struct {
-	sm    *SM
 	block *blockRT
+	// bufIn is the static instruction of the buffered flight (buf.in),
+	// nil while the buffer is empty: the scan reads it instead of
+	// loading the flight.
+	bufIn *isa.Instruction
+	// bufReady is the cycle the buffered instruction becomes issuable.
+	bufReady          int64
+	faultsOutstanding int32
+	done              bool
+	atBarrier         bool
+	fetchBlock        fetchReason
+	// bufReplay is buf.isReplay: whether the buffered instruction is a
+	// replay of a squashed one.
+	bufReplay bool
+	// Scoreboards: pendWrite marks registers with an in-flight writer
+	// (released at commit); pendRead counts in-flight readers (released
+	// at operand read, or at last TLB check for global memory
+	// instructions under the replay-queue scheme).
+	pendWrite [4]uint64
+
+	// buf is the fetched instruction awaiting issue (1-entry
+	// instruction buffer).
+	buf *flight
+
+	sm *SM
 	// idx is the warp index within its block.
 	idx   int
 	trace []emu.TraceInst
+	// code and lines are the block trace's kernel code and line slab
+	// that trace entries index (emu.BlockTrace.Code and .Lines).
+	code  []isa.Instruction
+	lines []uint64
 	// cursor is the next trace index to fetch.
 	cursor int
 	// replay holds trace indices of squashed (faulted) instructions, in
@@ -49,34 +82,24 @@ type warpRT struct {
 	// perspective.
 	replay []int32
 
-	// buf is the fetched instruction awaiting issue (1-entry
-	// instruction buffer); bufReady is the cycle it becomes issuable.
-	buf      *flight
-	bufReady int64
-
-	fetchBlock fetchReason
 	// fetchOwner is the flight whose commit/last-check unblocks fetch.
 	fetchOwner *flight
 
-	// Scoreboards: pendWrite marks registers with an in-flight writer
-	// (released at commit); pendRead counts in-flight readers (released
-	// at operand read, or at last TLB check for global memory
-	// instructions under the replay-queue scheme).
-	pendWrite [4]uint64
-	pendRead  [isa.MaxRegs]uint8
+	pendRead [isa.MaxRegs]uint8
 
-	inFlight          int
-	atBarrier         bool
-	barFlight         *flight
-	faultsOutstanding int
-	done              bool
+	// inFlight and excepDone are packed into one word so warpRT stays
+	// within 512 bytes, the largest size the allocator hands out
+	// without an 8-byte header that would shift the hot line off its
+	// 64-byte boundary. excepDone marks that the exception in excep has
+	// been delivered.
+	inFlight  int32
+	excepDone bool
+	barFlight *flight
 
 	// excep, when set, is the device exception the warp raised during
 	// emulation: its trace ends just before the faulting instruction,
 	// so the record is delivered once the warp drains (see deliverExcep).
-	// excepDone marks that delivery has happened.
-	excep     *excep.Record
-	excepDone bool
+	excep *excep.Record
 
 	// Stall-attribution interval starts (cycle stamps): when the warp
 	// last entered fault wait / parked at a barrier / had fetch blocked.
@@ -117,8 +140,10 @@ type memReq struct {
 // reuse, while the prebuilt closures and slice capacities persist so
 // steady-state execution schedules events without allocating.
 type flight struct {
-	w        *warpRT
-	ti       *emu.TraceInst
+	w  *warpRT
+	ti *emu.TraceInst
+	// in is the static instruction, w.code[ti.PC].
+	in       *isa.Instruction
 	tIdx     int32
 	isReplay bool
 
@@ -147,7 +172,7 @@ type flight struct {
 	poolNext *flight
 }
 
-func (f *flight) global() bool { return f.ti.Static.IsGlobalMem() }
+func (f *flight) global() bool { return f.in.IsGlobalMem() }
 
 // scoreboard helpers ---------------------------------------------------
 
@@ -177,11 +202,12 @@ func (w *warpRT) clearWritePending(r isa.Reg) {
 	w.pendWrite[i] &^= b
 }
 
-// canIssue checks the scoreboard hazards for the buffered instruction:
-// RAW (sources not pending a write), WAW (destination not pending a
+// canIssue checks the scoreboard hazards for the buffered instruction
+// in: RAW (sources not pending a write), WAW (destination not pending a
 // write) and WAR (destination not pending reads).
-func (w *warpRT) canIssue(f *flight) bool {
-	in := f.ti.Static
+//
+//simlint:noalloc
+func (w *warpRT) canIssue(in *isa.Instruction) bool {
 	for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC, in.Pred} {
 		if w.writePending(r) {
 			return false
@@ -200,7 +226,7 @@ func (w *warpRT) canIssue(f *flight) bool {
 
 // acquire marks the scoreboard for an issuing instruction.
 func (w *warpRT) acquire(f *flight) {
-	in := f.ti.Static
+	in := f.in
 	if in.Writes() {
 		w.setWritePending(in.Dst)
 	}
@@ -209,7 +235,7 @@ func (w *warpRT) acquire(f *flight) {
 
 // acquireSources takes the pendRead holds for the instruction's sources.
 func (w *warpRT) acquireSources(f *flight) {
-	in := f.ti.Static
+	in := f.in
 	f.srcHeld = f.srcHeld[:0]
 	for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC, in.Pred} {
 		if r != isa.RegNone && r != isa.RZ {
@@ -231,7 +257,7 @@ func (w *warpRT) releaseSources(f *flight) {
 
 // releaseDest drops the pendWrite hold (commit, or squash).
 func (w *warpRT) releaseDest(f *flight) {
-	in := f.ti.Static
+	in := f.in
 	if in.Writes() {
 		w.clearWritePending(in.Dst)
 	}
@@ -271,8 +297,7 @@ func (w *warpRT) exhausted() bool {
 // the instruction's own holds on its destination are discounted. Under
 // the operand-log scheme the replay reads its operands from the log
 // (Figure 8b), so source RAW does not apply at all.
-func (w *warpRT) canIssueReplay(f *flight, heldOwn []isa.Reg, checkSources bool) bool {
-	in := f.ti.Static
+func (w *warpRT) canIssueReplay(in *isa.Instruction, heldOwn []isa.Reg, checkSources bool) bool {
 	if checkSources {
 		for _, r := range [...]isa.Reg{in.SrcA, in.SrcB, in.SrcC, in.Pred} {
 			if w.writePending(r) {

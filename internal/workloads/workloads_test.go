@@ -66,10 +66,10 @@ func TestAllWorkloadsEmulate(t *testing.T) {
 				for i := range bt.Warps {
 					for j := range bt.Warps[i].Insts {
 						ti := &bt.Warps[i].Insts[j]
-						if !ti.Static.IsGlobalMem() {
+						if !bt.Code[ti.PC].IsGlobalMem() {
 							continue
 						}
-						for _, line := range ti.Lines {
+						for _, line := range bt.InstLines(ti) {
 							if !inRegions(spec.Regions, line) {
 								t.Fatalf("block %d pc %d: access %#x outside regions",
 									blk, ti.PC, line)
